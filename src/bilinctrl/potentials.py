@@ -2,8 +2,9 @@
 
 A potential mu is polynomial between breakpoints (H^1 regularity up to the
 discontinuities).  Coefficients <mu phi_l, phi_k> are computed in closed form
-for the trigonometric bases (each piece is a polynomial times a complex
-exponential) and by adaptive panel quadrature for the Hermite basis.
+for all four models: from Fourier moments of mu for the trigonometric bases
+and from Hermite tail overlaps for the harmonic oscillator.  Adaptive panel
+quadrature remains as the independent oracle (CoefficientMethod.QUADRATURE).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -72,17 +74,12 @@ class PiecewisePotential:
                         "real-line potentials must be constant outside the "
                         "breakpoint window")
 
-    def intervals(self, lo=None, hi=None):
-        """(a, b, coeffs) triples covering [lo, hi] (defaults: full domain)."""
-        if self.domain is PotentialDomain.UNIT_INTERVAL:
-            lo = 0.0 if lo is None else lo
-            hi = 1.0 if hi is None else hi
+    def intervals(self):
+        """(a, b, coeffs) triples covering the domain (+-inf on the line)."""
+        lo, hi = ((0.0, 1.0) if self.domain is PotentialDomain.UNIT_INTERVAL
+                  else (-np.inf, np.inf))
         edges = (lo,) + self.breakpoints + (hi,)
-        out = []
-        for a, b, p in zip(edges[:-1], edges[1:], self.pieces):
-            if b > a:
-                out.append((a, b, p))
-        return out
+        return list(zip(edges[:-1], edges[1:], self.pieces))
 
     def __call__(self, x):
         xarr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -93,10 +90,6 @@ class PiecewisePotential:
             if mask.any():
                 out[mask] = np.polynomial.polynomial.polyval(xarr[mask], p)
         return float(out[0]) if np.ndim(x) == 0 else out
-
-    @property
-    def is_zero(self) -> bool:
-        return all(all(c == 0.0 for c in p) for p in self.pieces)
 
     def content_hash(self) -> str:
         blob = struct.pack("<i", len(self.pieces)) + self.domain.value.encode()
@@ -153,72 +146,106 @@ def neumann_example() -> PiecewisePotential:
     return indicator(1.0 / 3.0, 2.0 / 3.0)
 
 
-def _harmonic_window(mu: PiecewisePotential, kmax: int) -> float:
-    # cover the classical turning point sqrt(2 kmax + 1) plus Gaussian margin
-    reach = 12.0
-    if mu.breakpoints:
-        reach = max(reach, max(abs(b) for b in mu.breakpoints) + 12.0)
-    return max(reach, np.sqrt(2.0 * kmax + 1.0) + 8.0)
-
-
 def _harmonic_coefficients(mu: PiecewisePotential, l: int,
                            ks: np.ndarray) -> np.ndarray:
-    if mu.is_zero:
-        return np.zeros(ks.size, dtype=complex)
     kmax = int(max(int(ks.max()), l))
-    xmax = _harmonic_window(mu, kmax)
-    if mu.domain is PotentialDomain.REAL_LINE:
-        lo, hi = -xmax, xmax
-    else:
-        lo, hi = 0.0, 1.0
+    # cover the classical turning point sqrt(2 kmax + 1) plus Gaussian margin
+    xmax = max(max(map(abs, mu.breakpoints), default=0.0) + 12.0,
+               np.sqrt(2.0 * kmax + 1.0) + 8.0)
 
     def integrand(x):
         phi = hermite_function_values(kmax, x)
         return mu(x) * phi[l] * phi[ks]
 
-    splits = tuple(b for b in mu.breakpoints) + ((0.0,) if lo < 0.0 < hi
-                                                 else ())
-    vals = adaptive_integral(integrand, lo, hi, splits=splits,
+    vals = adaptive_integral(integrand, -xmax, xmax,
+                             splits=mu.breakpoints + (0.0,),
                              rtol=1e-13, atol=1e-16)
     return vals.astype(complex)
 
 
-def _trig_coefficients(mu: PiecewisePotential, model: SpectralModel, l: int,
-                       ks: np.ndarray) -> np.ndarray:
-    out = np.zeros(ks.size, dtype=complex)
-    if mu.is_zero:
-        return out
+def _tail_overlaps(a: float, rows: np.ndarray, M: int) -> np.ndarray:
+    """S[i, m] = integral_a^inf phi_{rows[i]} phi_m dx for m < M, from
+    phi(a) alone: 2 (m - j) S_jm = phi_j(a) phi_m'(a) - phi_m(a) phi_j'(a)
+    (Wronskian) off the diagonal, S_kk = S_{k-1,k-1} + phi_k(a) phi_{k-1}(a)
+    / sqrt(2k) from S_00 = erfc(a) / 2 on it.  Extended precision, because
+    p(J) multiplies S by entries growing like (k/2)^(deg/2).
+    """
+    K = max(int(rows.max()), M - 1) + 1
+    phi = hermite_function_values(K, np.longdouble(a))[:, 0]
+    k = np.arange(K)
+    dphi = (np.sqrt(k / 2.0) * np.concatenate(([0.0], phi[:K - 1]))
+            - np.sqrt((k + 1) / 2.0) * phi[1:])
+    diag = 0.5 * math.erfc(a) + np.concatenate(([0.0], np.cumsum(
+        phi[1:K] * phi[:K - 1] / np.sqrt(2.0 * k[1:]))))
+    j, m = rows[:, None], np.arange(M)[None, :]
+    same = j == m
+    wronskian = phi[j] * dphi[m] - phi[m] * dphi[j]
+    return np.where(same, diag[j],
+                    wronskian / np.where(same, 1, 2 * (m - j))).astype(float)
+
+
+def _position_polynomial(p, cols: np.ndarray, M: int) -> np.ndarray:
+    """Columns cols of p(J) on modes 0..M-1, J the tridiagonal position
+    matrix x phi_k = sqrt(k/2) phi_{k-1} + sqrt((k+1)/2) phi_{k+1}; exact
+    while M > max(cols) + deg p."""
+    beta = np.sqrt(np.arange(1, M) / 2.0)[:, None]
+    unit = (np.arange(M)[:, None] == cols).astype(float)
+    P = np.zeros_like(unit)
+    for c in reversed(p):
+        JP = c * unit
+        JP[1:] += beta * P[:-1]
+        JP[:-1] += beta * P[1:]
+        P = JP
+    return P
+
+
+def _coupling_block(mu: PiecewisePotential, model: SpectralModel, rows,
+                    cols) -> np.ndarray:
+    """B[i, j] = <mu phi_{cols[j]}, phi_{rows[i]}> in closed form.
+
+    From the Fourier moments c_m = integral mu e^{i m s x} the periodic block
+    is c_{j-k} (Toeplitz); with C_m = (c_m + c_{-m})/2 the Dirichlet block is
+    C_{|j-k|} - C_{j+k} and the Neumann one nu_j nu_k (C_{|j-k|} + C_{j+k})/2.
+    On the line each breakpoint t adds S_t (p_right - p_left)(J).
+    """
+    _check_domain(mu, model)
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if model.kind is ModelKind.HARMONIC:
+        M = int(cols.max()) + max(len(p) for p in mu.pieces)
+        B = mu.pieces[0][0] * (rows[:, None] == cols[None, :])
+        for t, left, right in zip(mu.breakpoints, mu.pieces, mu.pieces[1:]):
+            jump = np.polynomial.polynomial.polysub(right, left)
+            B = B + _tail_overlaps(t, rows, M) @ _position_polynomial(
+                jump, cols, M)
+        return B.astype(complex)
+    n = int(np.abs(rows).max() + np.abs(cols).max())
+    s = 2.0 * np.pi if model.kind is ModelKind.PERIODIC_MAGNETIC else np.pi
+    c = sum(poly_exp_integral(p, a, b, s * np.arange(n + 1))
+            for a, b, p in mu.intervals())
+    c = np.concatenate((c[:0:-1].conj(), c))  # c_{-m} = conj(c_m), mu real
+    j, k = cols[None, :], rows[:, None]
     if model.kind is ModelKind.PERIODIC_MAGNETIC:
-        omegas = [(np.full(ks.size, 1.0 + 0.0j), 2.0 * np.pi * (l - ks))]
-    elif model.kind is ModelKind.DIRICHLET:
-        wm, wp = (l - ks) * np.pi, (l + ks) * np.pi
-        omegas = [(0.5, wm), (0.5, -wm), (-0.5, wp), (-0.5, -wp)]
-    else:
-        amp = (np.sqrt(2.0) if l else 1.0) * np.where(ks != 0, np.sqrt(2.0),
-                                                      1.0) / 4.0
-        wm, wp = (l - ks) * np.pi, (l + ks) * np.pi
-        omegas = [(amp, wm), (amp, -wm), (amp, wp), (amp, -wp)]
-    for a, b, p in mu.intervals():
-        for amp, w in omegas:
-            out += amp * poly_exp_integral(p, a, b, w)
-    return out
+        return c[n + j - k]
+    C = 0.5 * (c[n:] + c[n::-1])
+    if model.kind is ModelKind.DIRICHLET:
+        return C[np.abs(j - k)] - C[j + k]
+    nu = np.where(j == 0, 1.0, np.sqrt(2.0)) * np.where(k == 0, 1.0,
+                                                         np.sqrt(2.0))
+    return 0.5 * nu * (C[np.abs(j - k)] + C[j + k])
 
 
 def inner_product(mu: PiecewisePotential, model: SpectralModel, l: int,
-                  k: int, method: CoefficientMethod | None = None) -> complex:
+                  k: int,
+                  method: CoefficientMethod = CoefficientMethod.CLOSED_FORM
+                  ) -> complex:
     """The spectral coefficient <mu phi_l, phi_k> =
-    integral of mu(x) phi_l(x) conj(phi_k(x))."""
+    integral of mu(x) phi_l(x) conj(phi_k(x)); QUADRATURE is the oracle."""
     model.check_index(l)
     model.check_index(k)
-    _check_domain(mu, model)
-    if method is None:
-        method = (CoefficientMethod.QUADRATURE
-                  if model.kind is ModelKind.HARMONIC
-                  else CoefficientMethod.CLOSED_FORM)
-    if method is CoefficientMethod.CLOSED_FORM:
-        val = _trig_coefficients(mu, model, l, np.asarray([k]))[0]
-        return complex(val)
-    return complex(_quadrature_coefficient(mu, model, l, k))
+    if method is CoefficientMethod.QUADRATURE:
+        _check_domain(mu, model)
+        return complex(_quadrature_coefficient(mu, model, l, k))
+    return complex(_coupling_block(mu, model, [k], [l])[0, 0])
 
 
 def _quadrature_coefficient(mu, model, l, k):
@@ -250,7 +277,6 @@ class CoefficientTable:
     l: int
     indices: tuple
     values: tuple
-    method: CoefficientMethod
     model: SpectralModel = field(compare=False, default=None)
 
     def value(self, k: int) -> complex:
@@ -269,17 +295,11 @@ def coefficient_table(mu: PiecewisePotential, model: SpectralModel, l: int,
     inputs are immutable value objects.
     """
     model.check_index(l)
-    _check_domain(mu, model)
     ks = index_window(model, size)
-    if model.kind is ModelKind.HARMONIC:
-        vals = _harmonic_coefficients(mu, l, ks)
-        method = CoefficientMethod.QUADRATURE
-    else:
-        vals = _trig_coefficients(mu, model, l, ks)
-        method = CoefficientMethod.CLOSED_FORM
+    vals = _coupling_block(mu, model, ks, [l])[:, 0]
     return CoefficientTable(l=l, indices=tuple(int(k) for k in ks),
                             values=tuple(complex(v) for v in vals),
-                            method=method, model=model)
+                            model=model)
 
 
 class BoundWeight(enum.Enum):
@@ -346,9 +366,8 @@ def neumann_obstruction_scan(mu: PiecewisePotential,
     """Scan (k+1)|<mu phi_0, phi_k>| for k = 1..K on the Neumann model."""
     if K < 1:
         raise DomainError("need K >= 1")
-    _check_domain(mu, SpectralModel.neumann())
     ks = np.arange(1, K + 1)
-    vals = _trig_coefficients(mu, SpectralModel.neumann(), 0, ks)
+    vals = _coupling_block(mu, SpectralModel.neumann(), ks, [0])[:, 0]
     weighted = (ks + 1) * np.abs(vals)
     return ObstructionReport(indices=ks, weighted=weighted,
                              running_min=np.minimum.accumulate(weighted))
@@ -364,8 +383,13 @@ class IdentityReport:
 def harmonic_tail_coefficient(a: float, k: int) -> float:
     """Closed form for the half-line overlap integral_a^inf phi_k phi_0 dx.
 
-    Follows from d/dx [phi_{k-1}(x) phi_0(x) e stays] -- concretely, from the
-    Hermite derivative identity d/dx(e^{-x^2} H_{k-1}) = -e^{-x^2} H_k:
+    Row 0 of the tail-overlap identity
+
+        2 (k - j) integral_a^inf phi_j phi_k
+            = phi_j(a) phi_k'(a) - phi_k(a) phi_j'(a).
+
+    With phi_0' = -x phi_0 and phi_k' = sqrt(2k) phi_{k-1} - x phi_k the
+    right-hand side at j = 0 is sqrt(2k) phi_0(a) phi_{k-1}(a), so
 
         integral_a^inf phi_k phi_0 dx
             = pi^{-1/4} e^{-a^2/2} phi_{k-1}(a) / sqrt(2 k).

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ModelError, NumericError
-from .integrals import panel_grid, panel_nodes, poly_exp_integral
-from .potentials import (PiecewisePotential, _check_domain, _harmonic_window,
-                         _trig_coefficients)
+from .integrals import poly_exp_integral
+from .potentials import PiecewisePotential, _coupling_block
 from .spectral import (ModelKind, SpectralModel, eigenvalue,
                        hermite_function_values, index_window)
 
@@ -184,35 +183,11 @@ def _evaluate_terms(terms, t):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _harmonic_coupling(mu: PiecewisePotential, ks: np.ndarray) -> np.ndarray:
-    kmax = int(ks.max())
-    xmax = _harmonic_window(mu, kmax)
-    splits = tuple(mu.breakpoints) + (0.0,)
-
-    def assemble(width):
-        nodes, weights = panel_nodes(panel_grid(-xmax, xmax, splits, width))
-        phi = hermite_function_values(kmax, nodes)[ks]
-        return (phi * (weights * mu(nodes))) @ phi.T
-
-    coarse = assemble(0.25)
-    fine = assemble(0.125)
-    if np.max(np.abs(fine - coarse)) > 1e-12 * max(
-            1.0, float(np.max(np.abs(fine)))):
-        raise NumericError("harmonic coupling quadrature did not converge")
-    return fine.astype(complex)
-
-
 def coupling_matrix(mu: PiecewisePotential, model: SpectralModel,
                     N: int) -> np.ndarray:
     """Dense Galerkin matrix B[k_row, j_col] = <mu phi_j, phi_k>."""
-    _check_domain(mu, model)
     ks = index_window(model, N)
-    if model.kind is ModelKind.HARMONIC:
-        B = _harmonic_coupling(mu, ks)
-    else:
-        B = np.empty((ks.size, ks.size), dtype=complex)
-        for col, j in enumerate(ks):
-            B[:, col] = _trig_coefficients(mu, model, int(j), ks)
+    B = _coupling_block(mu, model, ks, ks)
     defect = float(np.max(np.abs(B - B.conj().T)))
     if defect > _HERMITICITY_TOL:
         raise ModelError(f"coupling matrix non-Hermitian (defect {defect:.2e})")
@@ -247,10 +222,6 @@ class Propagator:
         self.lam = eigenvalue(model, self.indices)
         self.B = coupling_matrix(mu, model, N)
         self._w, self._V = np.linalg.eigh(self.B)
-
-    def _coupling_exp(self, theta: float) -> np.ndarray:
-        """exp(-i theta B) through the Hermitian eigendecomposition."""
-        return (self._V * np.exp(-1j * theta * self._w)) @ self._V.conj().T
 
     def _apply_coupling_exp(self, theta: float, vec: np.ndarray) -> np.ndarray:
         """exp(-i theta B) @ vec with two matvecs in the eigenbasis."""

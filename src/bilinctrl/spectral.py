@@ -6,7 +6,8 @@ and the index convention used everywhere else in the package:
 * Dirichlet on (0,1):       k >= 1,  lambda_k = k^2 pi^2,  sqrt(2) sin(k pi x)
 * Periodic with drift u0:   k in Z,  lambda_k = 4 pi^2 k^2 - 2 pi u0 k,
                             exp(2 i k pi x)
-* Neumann on (0,1):         k >= 0,  lambda_k = k^2 pi^2,  1 / sqrt(2) cos(k pi x)
+* Neumann on (0,1):         k >= 0,  lambda_k = k^2 pi^2,  1 at k = 0 and
+                            sqrt(2) cos(k pi x) for k >= 1
 * Harmonic oscillator on R: k >= 0,  lambda_k = 2k + 1,  Hermite functions
 """
 
@@ -131,16 +132,19 @@ def hermite_function_values(kmax: int, x) -> np.ndarray:
     Uses the stable recurrence on the normalized functions themselves,
     phi_{k+1} = x sqrt(2/(k+1)) phi_k - sqrt(k/(k+1)) phi_{k-1},
     which avoids the overflow of the raw Hermite polynomials near k ~ 160.
-    Returns an array of shape (kmax+1, len(x)).
+    Computes in the precision of x (at least float64).  Returns an array of
+    shape (kmax+1, len(x)).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((kmax + 1, x.size))
+    x = np.atleast_1d(np.asarray(x))
+    x = x.astype(np.result_type(x, np.float64))
+    one = x.dtype.type(1)
+    out = np.empty((kmax + 1, x.size), dtype=x.dtype)
     out[0] = np.pi ** (-0.25) * np.exp(-0.5 * x**2)
     if kmax >= 1:
-        out[1] = x * np.sqrt(2.0) * out[0]
+        out[1] = x * np.sqrt(2 * one) * out[0]
     for k in range(1, kmax):
-        out[k + 1] = (x * np.sqrt(2.0 / (k + 1)) * out[k]
-                      - np.sqrt(k / (k + 1.0)) * out[k - 1])
+        out[k + 1] = (x * np.sqrt(2 * one / (k + 1)) * out[k]
+                      - np.sqrt(k * one / (k + 1)) * out[k - 1])
     return out
 
 

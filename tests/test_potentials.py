@@ -127,6 +127,7 @@ class TestInnerProduct:
         (DIRICHLET, dirichlet_example()),
         (NEUMANN, neumann_example()),
         (PERIODIC, periodic_example()),
+        (HARMONIC, half_line_step(0.3)),
     ])
     def test_closed_form_agrees_with_quadrature_up_to_100(self, model, mu):
         l = 1 if model is DIRICHLET else 0

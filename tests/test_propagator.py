@@ -9,7 +9,9 @@ from scipy.integrate import solve_ivp
 
 from bilinctrl.errors import DomainError, ModelError
 from bilinctrl.integrals import poly_exp_integral
-from bilinctrl.potentials import (dirichlet_example, half_line_step,
+from bilinctrl.potentials import (CoefficientMethod, PiecewisePotential,
+                                  PotentialDomain, dirichlet_example,
+                                  half_line_step, inner_product,
                                   periodic_example)
 from bilinctrl.propagator import (ControlSignal, Propagator, SobolevNorm,
                                   StateVector, basis_state, coupling_matrix,
@@ -18,6 +20,7 @@ from bilinctrl.spectral import SpectralModel, eigenvalue, index_window
 
 DIRICHLET = SpectralModel.dirichlet()
 PERIODIC = SpectralModel.periodic(1.0)
+NEUMANN = SpectralModel.neumann()
 HARMONIC = SpectralModel.harmonic()
 
 
@@ -60,6 +63,41 @@ class TestCouplingMatrix:
         for k in range(1, 16):
             assert B[k, 0].real == pytest.approx(
                 harmonic_tail_coefficient(0.3, k), abs=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("model", [DIRICHLET, PERIODIC, NEUMANN,
+                                       HARMONIC])
+    def test_matches_quadrature_oracle_for_piecewise_polynomials(self, model,
+                                                                 data):
+        # 1-3 breakpoints, degree <= 3 on every unit-interval piece and every
+        # inner real-line piece; the real line always breaks at exactly 0
+        n = data.draw(st.integers(1, 3))
+        coeff = st.floats(-2.0, 2.0)
+        poly = st.lists(coeff, min_size=1, max_size=4).map(tuple)
+        if model is HARMONIC:
+            others = data.draw(st.lists(st.floats(-3.0, 3.0).filter(bool),
+                                        min_size=n - 1, max_size=n - 1,
+                                        unique=True))
+            breakpoints = sorted(others + [0.0])
+            pieces = ([(data.draw(coeff),)]
+                      + [data.draw(poly) for _ in range(n - 1)]
+                      + [(data.draw(coeff),)])
+            domain = PotentialDomain.REAL_LINE
+        else:
+            breakpoints = sorted(data.draw(st.lists(
+                st.floats(0.05, 0.95), min_size=n, max_size=n, unique=True)))
+            pieces = [data.draw(poly) for _ in range(n + 1)]
+            domain = PotentialDomain.UNIT_INTERVAL
+        mu = PiecewisePotential(tuple(breakpoints), tuple(pieces), domain)
+        for N in (1, 6):
+            B = coupling_matrix(mu, model, N)
+            ks = [int(k) for k in index_window(model, N)]
+            oracle = np.array([[inner_product(mu, model, j, k,
+                                              CoefficientMethod.QUADRATURE)
+                                for j in ks] for k in ks])
+            assert np.max(np.abs(B - oracle)) <= 1e-10 * max(
+                1.0, float(np.max(np.abs(B))))
 
 
 class TestPropagate:
