@@ -50,13 +50,6 @@ class MomentProblem:
                 raise DegeneracyError(
                     "target at frequency zero must be real")
 
-    @property
-    def zero_index(self):
-        for i, f in enumerate(self.frequencies):
-            if abs(f) < _FREQ_TOL:
-                return i
-        return None
-
 
 def symmetrize(problem: MomentProblem) -> MomentProblem:
     """Extend to the reflected frequency set with conjugate targets.

@@ -282,9 +282,6 @@ class CoefficientTable:
     def value(self, k: int) -> complex:
         return self.values[self.indices.index(k)]
 
-    def abs_values(self) -> np.ndarray:
-        return np.abs(np.asarray(self.values))
-
 
 @functools.lru_cache(maxsize=128)
 def coefficient_table(mu: PiecewisePotential, model: SpectralModel, l: int,

@@ -4,6 +4,20 @@ The truncated system is c' = -i (Lambda + u(t) B) c with Lambda the diagonal
 eigenvalue matrix and B the coupling matrix of the multiplication operator
 psi -> mu psi.  Time stepping is Strang splitting with exact diagonal phases
 and an eigendecomposed B-exponential, so every step is exactly unitary.
+
+The Strang product is evaluated in the eigenbasis B = V diag(w) V^H.  With
+H = e^{-i h Lambda/2} and D_m = e^{-i h u_m w} (u_m the control at the midpoint
+of step m), the half-phases of adjacent steps merge into one precomputed
+unitary W = V^H H^2 V:
+
+    c_n = H V D_{n-1} W ... W D_0 V^H H c_0.
+
+Starting from z = V^H H^{-1} c_0, every step is z <- D_m (W z), a diagonal
+phase times one matvec, and c_{m+1} = H V z.  The rows D_m are computed
+_PHASE_BLOCK steps at a time by one vectorised exp, never as one table over
+all steps, which would hold n x N numbers.  Finiteness is checked once, on
+the final state: NaN and inf never become finite again under these products,
+so the first non-finite step is searched for only when that check fails.
 """
 
 from __future__ import annotations
@@ -20,6 +34,8 @@ from .spectral import (ModelKind, SpectralModel, eigenvalue,
                        hermite_function_values, index_window)
 
 DEFAULT_STEPS = 4096
+
+_PHASE_BLOCK = 256
 
 _HERMITICITY_TOL = 1e-12
 
@@ -92,6 +108,8 @@ class ControlSignal:
         samples = np.asarray(self.samples, dtype=float)
         if samples.size < 2:
             raise DomainError("need at least two samples")
+        if not np.all(np.isfinite(samples)):
+            raise NumericError("non-finite control samples")
         object.__setattr__(self, "samples", samples)
         if self.parametric is not None:
             terms = tuple((float(f), complex(a)) for f, a in self.parametric)
@@ -223,10 +241,25 @@ class Propagator:
         self.B = coupling_matrix(mu, model, N)
         self._w, self._V = np.linalg.eigh(self.B)
 
-    def _apply_coupling_exp(self, theta: float, vec: np.ndarray) -> np.ndarray:
-        """exp(-i theta B) @ vec with two matvecs in the eigenbasis."""
-        return self._V @ (np.exp(-1j * theta * self._w)
-                          * (self._V.conj().T @ vec))
+    def _split_factors(self, u: ControlSignal, reverse: bool = False):
+        """Factors of the Strang product for u in the eigenbasis of B: the
+        half-phase H, the merged unitary W = V^H H^2 V, and a callable that
+        yields (m0, D) with D[j] the phase row D_{m0+j}, _PHASE_BLOCK steps at
+        a time.  reverse negates the generator and reads u backwards."""
+        sign = -1.0 if reverse else 1.0
+        h = u.step
+        mids = u.midpoint_values()
+        if reverse:
+            mids = mids[::-1]
+        half = np.exp(-0.5j * sign * h * self.lam)
+        W = (self._V.conj().T * half**2) @ self._V
+
+        def phase_blocks():
+            for m0 in range(0, mids.size, _PHASE_BLOCK):
+                theta = sign * h * mids[m0:m0 + _PHASE_BLOCK]
+                yield m0, np.exp(-1j * np.multiply.outer(theta, self._w))
+
+        return half, W, phase_blocks
 
     def propagate(self, psi0: StateVector, u: ControlSignal,
                   store_trajectory: bool = True,
@@ -236,30 +269,24 @@ class Propagator:
         exactly (time reversibility)."""
         if psi0.size != self.indices.size:
             raise DomainError("state truncation does not match propagator")
-        h = u.step
-        sign = -1.0 if reverse else 1.0
-        mids = u.midpoint_values()
-        if reverse:
-            mids = mids[::-1]
-        half_phase = np.exp(-1j * sign * 0.5 * h * self.lam)
-        c = psi0.coefficients.copy()
+        half, W, phase_blocks = self._split_factors(u, reverse)
         n = u.n_steps
-        states = np.empty((n + 1 if store_trajectory else 1, c.size),
+        states = np.empty((n + 1 if store_trajectory else 2, psi0.size),
                           dtype=complex)
-        states[0] = c
-        for m in range(n):
-            c = half_phase * c
-            c = self._apply_coupling_exp(sign * mids[m] * h, c)
-            c = half_phase * c
-            if not np.all(np.isfinite(c)):
-                raise NumericError(f"non-finite state at step {m}")
-            if store_trajectory:
-                states[m + 1] = c
-        if not store_trajectory:
-            states = np.vstack([states[0], c])
-            times = np.asarray([0.0, u.horizon])
-        else:
-            times = u.times
+        states[0] = psi0.coefficients
+        z0 = self._V.conj().T @ (half.conj() * psi0.coefficients)
+        rows = states[1:] if store_trajectory else None
+        z = _strang_steps(W, phase_blocks(), z0, rows)
+        if not np.all(np.isfinite(z)):
+            _strang_steps(W, phase_blocks(), z0, checked=True)
+        if store_trajectory:
+            # c_{m+1} = H V z_m, in place, a block of rows at a time
+            for a in range(1, n, _PHASE_BLOCK):
+                block = states[a:min(a + _PHASE_BLOCK, n)]
+                block[...] = (block @ self._V.T) * half
+        # the last row as endpoint computes it, so the two agree bitwise
+        states[-1] = half * (self._V @ z)
+        times = u.times if store_trajectory else np.asarray([0.0, u.horizon])
         return Trajectory(times=times, states=states, model=self.model)
 
     def endpoint(self, psi0: StateVector, u: ControlSignal) -> StateVector:
@@ -329,25 +356,37 @@ class Propagator:
                              u_base: ControlSignal) -> StateVector:
         if v.samples.size != u_base.samples.size or v.horizon != u_base.horizon:
             raise DomainError("controls live on different grids")
-        h = u_base.step
-        half_phase = np.exp(-1j * 0.5 * h * self.lam)
-        u_mid = u_base.midpoint_values()
-        v_mid = v.midpoint_values()
+        half, W, phase_blocks = self._split_factors(u_base)
         c = basis_state(self.model, self.N, l).coefficients
-        xi = np.zeros_like(c)
-        for m in range(u_base.n_steps):
-            theta = u_mid[m] * h
+        # rows: the state z and the tangent zeta, both in the eigenbasis of B
+        Z = np.zeros((2, c.size), dtype=complex)
+        Z[0] = self._V.conj().T @ (half.conj() * c)
+        WT = W.T
+        # derivative of the step in the control direction: B commutes with
+        # its own exponential, so d/de exp(-i(u+ev)Bh) = -i v h B E, which is
+        # -i v h w times the new state in the eigenbasis
+        source = -1j * u_base.step * v.midpoint_values()
+        for m0, D in phase_blocks():
+            for j, d in enumerate(D):
+                Z = d * (Z @ WT)
+                Z[1] += source[m0 + j] * self._w * Z[0]
+        return StateVector(self.model, half * (self._V @ Z[1]))
 
-            def step(y):
-                return half_phase * self._apply_coupling_exp(
-                    theta, half_phase * y)
 
-            # derivative of the step in the control direction: B commutes
-            # with its own exponential, so d/de exp(-i(u+ev)Bh) = -i v h B E
-            xi = step(xi) + half_phase * (-1j * v_mid[m] * h * (
-                self.B @ self._apply_coupling_exp(theta, half_phase * c)))
-            c = step(c)
-        return StateVector(self.model, xi)
+def _strang_steps(W: np.ndarray, phase_blocks, z: np.ndarray,
+                  rows: np.ndarray | None = None,
+                  checked: bool = False) -> np.ndarray:
+    """Run z <- D_m (W z) over every step and return the final z.  Row m of
+    rows, when given, receives z after step m; checked raises at the first
+    step whose state is not finite."""
+    for m0, D in phase_blocks:
+        for j, d in enumerate(D):
+            z = d * (W @ z)
+            if rows is not None:
+                rows[m0 + j] = z
+            if checked and not np.all(np.isfinite(z)):
+                raise NumericError(f"non-finite state at step {m0 + j}")
+    return z
 
 
 def _step_source_integral(v: ControlSignal, t0: float, t1: float,

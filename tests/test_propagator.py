@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
-from bilinctrl.errors import DomainError, ModelError
+from bilinctrl.errors import DomainError, ModelError, NumericError
 from bilinctrl.integrals import poly_exp_integral
 from bilinctrl.potentials import (CoefficientMethod, PiecewisePotential,
                                   PotentialDomain, dirichlet_example,
                                   half_line_step, inner_product,
                                   periodic_example)
-from bilinctrl.propagator import (ControlSignal, Propagator, SobolevNorm,
-                                  StateVector, basis_state, coupling_matrix,
-                                  sobolev_norm)
+from bilinctrl.propagator import (_PHASE_BLOCK, ControlSignal, Propagator,
+                                  SobolevNorm, StateVector, basis_state,
+                                  coupling_matrix, sobolev_norm)
 from bilinctrl.spectral import SpectralModel, eigenvalue, index_window
 
 DIRICHLET = SpectralModel.dirichlet()
@@ -42,6 +43,19 @@ def _ode_endpoint(prop, psi0, value, T):
     sol = solve_ivp(rhs, [0.0, T], y0, method="DOP853", rtol=1e-12,
                     atol=1e-13)
     return sol.y[:n, -1] + 1j * sol.y[n:, -1]
+
+
+def _naive_strang(prop, psi0, u, reverse=False):
+    """Reference Strang loop: half-phase, dense expm of the coupling step,
+    half-phase; returns every state."""
+    sign = -1.0 if reverse else 1.0
+    mids = u.midpoint_values()[::-1] if reverse else u.midpoint_values()
+    half = np.exp(-0.5j * sign * u.step * prop.lam)
+    rows = [psi0.coefficients]
+    for mid in mids:
+        step = expm(-1j * sign * mid * u.step * prop.B)
+        rows.append(half * (step @ (half * rows[-1])))
+    return np.array(rows)
 
 
 class TestCouplingMatrix:
@@ -185,6 +199,45 @@ class TestPropagate:
             dirichlet_prop.propagate(basis_state(DIRICHLET, 32, 1),
                                      ControlSignal.zero(1.0, 16))
 
+    @settings(max_examples=25, deadline=None)
+    @given(model_mu=st.sampled_from([(DIRICHLET, dirichlet_example()),
+                                     (PERIODIC, periodic_example())]),
+           N=st.sampled_from([1, 2, 7]),
+           n_steps=st.sampled_from([1, 2, _PHASE_BLOCK - 1, _PHASE_BLOCK,
+                                    _PHASE_BLOCK + 1, 2 * _PHASE_BLOCK + 1]),
+           reverse=st.booleans(), store=st.booleans(),
+           horizon=st.floats(0.1, 2.0), seed=st.integers(0, 10_000))
+    def test_matches_naive_strang_loop(self, model_mu, N, n_steps, reverse,
+                                       store, horizon, seed):
+        model, mu = model_mu
+        prop = Propagator(model, mu, N)
+        rng = np.random.default_rng(seed)
+        u = ControlSignal(horizon, 2.0 * rng.standard_normal(n_steps + 1))
+        size = prop.indices.size
+        coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        psi0 = StateVector(model, coeffs / np.linalg.norm(coeffs))
+        traj = prop.propagate(psi0, u, store_trajectory=store,
+                              reverse=reverse)
+        ref = _naive_strang(prop, psi0, u, reverse)
+        if not store:
+            ref = ref[[0, -1]]
+        assert traj.states.shape == ref.shape
+        assert np.max(np.abs(traj.states - ref)) < 1e-12
+        if not reverse:
+            assert np.array_equal(traj.final.coefficients,
+                                  prop.endpoint(psi0, u).coefficients)
+
+    def test_overflowing_midpoint_names_the_first_bad_step(self,
+                                                           dirichlet_prop):
+        # the samples are finite, but their midpoint 1e308 + 1e308 is not
+        samples = np.zeros(513)
+        samples[100:102] = 1e308
+        u = ControlSignal(1.0, samples)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"step 100$"):
+                dirichlet_prop.propagate(basis_state(DIRICHLET, 64, 1), u,
+                                         store_trajectory=False)
+
 
 class TestPropagateLinearized:
     def test_zero_direction_gives_zero(self, dirichlet_prop):
@@ -265,6 +318,26 @@ class TestPropagateLinearized:
         fd = (plus - minus).scaled(0.5 / eps)
         assert (fd - xi).norm() < 1e-7
 
+    def test_discrete_mode_matches_naive_tangent_loop(self):
+        # reference: the tangent of the half-phase / expm / half-phase step,
+        # xi <- S_m xi + H (-i v_m h B) E_m H c
+        prop = Propagator(PERIODIC, periodic_example(), 7)
+        rng = np.random.default_rng(17)
+        n = _PHASE_BLOCK + 1
+        u = ControlSignal(0.9, rng.standard_normal(n + 1))
+        v = ControlSignal(0.9, rng.standard_normal(n + 1))
+        h = u.step
+        half = np.exp(-0.5j * h * prop.lam)
+        c = basis_state(PERIODIC, 7, 0).coefficients
+        xi = np.zeros_like(c)
+        for u_m, v_m in zip(u.midpoint_values(), v.midpoint_values()):
+            E = expm(-1j * u_m * h * prop.B)
+            xi = half * (E @ (half * xi)) + half * (
+                -1j * v_m * h * (prop.B @ (E @ (half * c))))
+            c = half * (E @ (half * c))
+        got = prop.propagate_linearized(v, 0, u_base=u, mode="discrete")
+        assert np.max(np.abs(got.coefficients - xi)) < 1e-12
+
 
 class TestSobolevNorms:
     def test_single_dirichlet_modes(self):
@@ -322,6 +395,13 @@ class TestControlSignal:
     def test_grid_mismatch_rejected(self):
         with pytest.raises(DomainError):
             ControlSignal.zero(1.0, 64) + ControlSignal.zero(1.0, 128)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        samples = np.zeros(9)
+        samples[4] = bad
+        with pytest.raises(NumericError):
+            ControlSignal(1.0, samples)
 
     def test_midpoints_of_sampled_signal(self):
         u = ControlSignal(1.0, np.array([0.0, 2.0, 4.0]))
