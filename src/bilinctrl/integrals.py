@@ -29,7 +29,8 @@ def _shift_poly(coeffs, m):
 
 
 def _taylor_terms(q, h, w):
-    # integral of s^n e^{iws} over [-h, h]; odd total powers vanish
+    # integral of s^n e^{iws} over [-h, h]; odd total powers vanish.  The
+    # stop is relative: on short intervals all terms of s^n are tiny.
     res = np.zeros(w.shape, dtype=complex)
     for n, c in enumerate(q):
         if c == 0:
@@ -41,7 +42,7 @@ def _taylor_terms(q, h, w):
             if p % 2 == 0:
                 contrib = tm * (2.0 * h ** (n + 1) / (p + 1))
                 acc += contrib
-                if np.all(np.abs(contrib) < 1e-18 * (1.0 + np.abs(acc))):
+                if np.all(np.abs(contrib) <= 1e-18 * np.abs(acc)):
                     break
             tm = tm * (1j * w * h) / (m + 1)
         res += c * acc

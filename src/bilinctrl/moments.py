@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DomainError, IllConditionedError
-from .integrals import poly_exp_integral
-from .propagator import DEFAULT_STEPS, ControlSignal
+from .propagator import DEFAULT_STEPS, ControlSignal, moments
 
 # Two frequencies closer than this are treated as colliding.
 _FREQ_TOL = 1e-9
@@ -176,34 +175,6 @@ def solve(problem: MomentProblem, condition_cap: float = 1e12,
     control = _exponential_sum_control(freqs, c, sym.horizon, n_steps)
     return MomentSolution(problem=sym, control=control, coefficients=c,
                           residuals=G @ c - y, gram_condition=condition)
-
-
-def moments(u: ControlSignal, frequencies) -> np.ndarray:
-    """integral_0^T u(s) e^{i omega s} ds for each omega.
-
-    Exact for parametric controls; otherwise composite panels of 8 grid
-    steps, interpolating the samples by a degree-8 polynomial and
-    integrating polynomial x exponential in closed form (exact phase).
-    """
-    omegas = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    if u.parametric is not None:
-        out = np.zeros(omegas.shape, dtype=complex)
-        for f, a in u.parametric:
-            out += a * poly_exp_integral((1.0,), 0.0, u.horizon, omegas + f)
-        return out
-    times = u.times
-    samples = u.samples
-    out = np.zeros(omegas.shape, dtype=complex)
-    chunk = 8
-    for start in range(0, u.n_steps, chunk):
-        stop = min(start + chunk, u.n_steps)
-        t = times[start:stop + 1]
-        s = samples[start:stop + 1]
-        mid = 0.5 * (t[0] + t[-1])
-        coeffs = np.polynomial.polynomial.polyfit(t - mid, s, deg=t.size - 1)
-        out += np.exp(1j * omegas * mid) * poly_exp_integral(
-            coeffs, t[0] - mid, t[-1] - mid, omegas)
-    return out
 
 
 def bessel_diagnostic(frequencies, T: float, trials: int,

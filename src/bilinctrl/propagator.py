@@ -37,6 +37,9 @@ DEFAULT_STEPS = 4096
 
 _PHASE_BLOCK = 256
 
+# grid steps per interpolation panel of a sampled control in moments()
+_PANEL = 8
+
 _HERMITICITY_TOL = 1e-12
 
 
@@ -96,7 +99,10 @@ def basis_state(model: SpectralModel, N: int, k: int) -> StateVector:
 @dataclass(frozen=True)
 class ControlSignal:
     """Real control on a uniform time grid, optionally carried in exponential
-    -sum form sum_j amp_j exp(i freq_j t) (conjugate-symmetric terms)."""
+    -sum form sum_j amp_j exp(i freq_j t) (conjugate-symmetric terms).
+
+    __call__ interpolates the samples linearly, while moments() and the free
+    linearization integrate their 8-step panel interpolant."""
 
     horizon: float
     samples: np.ndarray
@@ -199,6 +205,55 @@ def _evaluate_terms(terms, t):
         raise NumericError("parametric control evaluates to a complex signal")
     out = vals.real
     return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def moments(u: ControlSignal, frequencies) -> np.ndarray:
+    """integral_0^T u(s) e^{i omega s} ds for each omega.
+
+    Exact for parametric controls.  Sampled controls use a Filon-type rule:
+    the polynomial through the samples of each panel of _PANEL steps (the
+    last panel possibly shorter) is integrated in closed form, exact phase
+    included.  Full panels are congruent, so with step h the rule is
+
+        sum_p e^{i omega mid_p} sum_j w_j(omega) u_{p _PANEL + j},
+        w_j(omega) = h int_{-_PANEL/2}^{_PANEL/2} L_j(x) e^{i omega h x} dx,
+
+    with mid_p the panel midpoints and L_j the Lagrange basis on the nodes
+    -_PANEL/2, ..., _PANEL/2.
+    """
+    omegas = np.atleast_1d(np.asarray(frequencies, dtype=float))
+    if u.parametric is not None:
+        out = np.zeros(omegas.shape, dtype=complex)
+        for f, a in u.parametric:
+            out += a * poly_exp_integral((1.0,), 0.0, u.horizon, omegas + f)
+        return out
+    h = u.step
+    full, rest = divmod(u.n_steps, _PANEL)
+    out = np.zeros(omegas.shape, dtype=complex)
+    # the full panels, then a shorter last panel of its own size
+    for k, first, count in ((_PANEL, 0, full),
+                            (rest, full * _PANEL, int(rest > 0))):
+        if count == 0:
+            continue
+        panels = np.lib.stride_tricks.sliding_window_view(
+            u.samples[first:first + count * k + 1], k + 1)[::k]
+        mids = h * (first + k * np.arange(count) + 0.5 * k)
+        phases = np.exp(1j * np.multiply.outer(omegas, mids))
+        out += np.sum(_panel_weights(k, h, omegas) * (phases @ panels),
+                      axis=-1)
+    return out
+
+
+def _panel_weights(k: int, h: float, omegas: np.ndarray) -> np.ndarray:
+    """w[i, j] = h integral_{-k/2}^{k/2} L_j(x) e^{i omegas_i h x} dx for the
+    Lagrange basis L_j on the nodes -k/2, ..., k/2 of a k-step panel."""
+    nodes = np.arange(k + 1) - 0.5 * k
+    # lagrange[n, j] is the x^n coefficient of L_j
+    lagrange = np.linalg.inv(np.vander(nodes, increasing=True))
+    monomials = np.stack(
+        [poly_exp_integral((0.0,) * n + (1.0,), nodes[0], nodes[-1],
+                           h * omegas) for n in range(k + 1)], axis=-1)
+    return h * (monomials @ lagrange)
 
 
 def coupling_matrix(mu: PiecewisePotential, model: SpectralModel,
@@ -304,14 +359,14 @@ class Propagator:
         """Endpoint of the linearization around the free eigensolution
         (u_base None or zero) or around a general base control.
 
-        Around the free flow the update uses exact phase factors and exact
-        per-step source integrals, so the result matches the closed-form
-        Duhamel coefficients
+        Around the free flow the endpoint is the closed-form Duhamel formula
 
             <xi(T), phi_k> = -i e^{-i lam_k T} <mu phi_l, phi_k>
-                             * integral_0^T e^{i(lam_k - lam_l) s} v(s) ds
+                             * integral_0^T e^{i(lam_k - lam_l) s} v(s) ds,
 
-        up to the control's own quadrature.  Around a nonzero base control
+        with the integrals from moments(): exact for a parametric v, and for
+        a sampled v the exact-phase integral of its _PANEL-step panel
+        interpolant (a Filon-type rule).  Around a nonzero base control
         the update is the exact derivative of the discrete Strang flow, which
         is what a finite-difference check of the endpoint map differentiates.
         """
@@ -331,26 +386,9 @@ class Propagator:
 
     def _linearized_free(self, v: ControlSignal, l: int) -> StateVector:
         b = self._source_column(l)
-        lam_l = eigenvalue(self.model, l)
-        delta = self.lam - lam_l
-        T = v.horizon
-        if v.parametric is not None:
-            # the per-step recursion telescopes to the Duhamel closed form,
-            # so evaluate the full-horizon integral directly
-            integral = np.zeros(delta.shape, dtype=complex)
-            for f, a in v.parametric:
-                integral += a * poly_exp_integral((1.0,), 0.0, T, delta + f)
-            return StateVector(self.model,
-                               -1j * np.exp(-1j * self.lam * T) * b * integral)
-        h = v.step
-        times = v.times
-        xi = np.zeros(self.lam.size, dtype=complex)
-        step_phase = np.exp(-1j * h * self.lam)
-        for m in range(v.n_steps):
-            integral = _step_source_integral(v, times[m], times[m + 1], delta)
-            xi = step_phase * xi - 1j * b * np.exp(
-                -1j * self.lam * times[m + 1]) * integral
-        return StateVector(self.model, xi)
+        integral = moments(v, self.lam - eigenvalue(self.model, l))
+        return StateVector(self.model, -1j * np.exp(-1j * self.lam * v.horizon)
+                           * b * integral)
 
     def _linearized_discrete(self, v: ControlSignal, l: int,
                              u_base: ControlSignal) -> StateVector:
@@ -387,21 +425,6 @@ def _strang_steps(W: np.ndarray, phase_blocks, z: np.ndarray,
             if checked and not np.all(np.isfinite(z)):
                 raise NumericError(f"non-finite state at step {m0 + j}")
     return z
-
-
-def _step_source_integral(v: ControlSignal, t0: float, t1: float,
-                          delta: np.ndarray) -> np.ndarray:
-    """integral_{t0}^{t1} e^{i delta s} v(s) ds, exactly for parametric v and
-    by linear interpolation of the samples otherwise."""
-    if v.parametric is not None:
-        out = np.zeros(delta.shape, dtype=complex)
-        for f, a in v.parametric:
-            out += a * poly_exp_integral((1.0,), t0, t1, delta + f)
-        return out
-    v0, v1 = v(t0), v(t1)
-    slope = (v1 - v0) / (t1 - t0)
-    return (v0 - slope * t0) * poly_exp_integral((1.0,), t0, t1, delta) \
-        + slope * poly_exp_integral((0.0, 1.0), t0, t1, delta)
 
 
 class SobolevNorm(enum.Enum):

@@ -90,3 +90,17 @@ def test_adaptive_integral_reports_both_estimates_on_failure():
         adaptive_integral(noisy, 0.0, 1.0, max_refinements=4)
     assert err.value.last_estimate is not None
     assert err.value.previous_estimate is not None
+
+
+@pytest.mark.parametrize("h", [1e-2, 1e-3])
+@pytest.mark.parametrize("omega_h", [0.2, 2.0])
+def test_high_power_on_a_short_interval(h, omega_h):
+    # [DERIVED] x^8 on one 8-step panel [-4h, 4h]: every Taylor term lies
+    # far below 1e-18, so the series must stop relative to its own sum.
+    # Oracle: 40-point Gauss-Legendre, exact for this entire integrand.
+    omega = omega_h / h
+    x, w = np.polynomial.legendre.leggauss(40)
+    s = 4 * h * x
+    want = 4 * h * np.sum(w * s**8 * np.exp(1j * omega * s))
+    got = poly_exp_integral((0.0,) * 8 + (1.0,), -4 * h, 4 * h, omega)
+    assert abs(got - want) <= 1e-12 * abs(want)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import BarycentricInterpolator
 
 from bilinctrl.errors import DegeneracyError, IllConditionedError
 from bilinctrl.moments import (MomentProblem, MomentSolution,
@@ -24,6 +25,24 @@ def _quad_moment(u, omega):
         re = quad(lambda s: u(s) * np.cos(omega * s), 0.0, T, limit=400)[0]
         im = quad(lambda s: u(s) * np.sin(omega * s), 0.0, T, limit=400)[0]
     return re + 1j * im
+
+
+def _panel_oracle(u, omegas):
+    """[DERIVED] integral_0^T p(s) e^{i omega s} ds for the 8-step panel
+    interpolant p of u's samples (the last panel may be shorter): one
+    barycentric interpolant per panel, integrated by 30-point
+    Gauss-Legendre, which is exact to roundoff for |omega| h <= 2."""
+    x, w = np.polynomial.legendre.leggauss(30)
+    h = u.step
+    out = np.zeros(omegas.shape, dtype=complex)
+    for a in range(0, u.n_steps, 8):
+        b = min(a + 8, u.n_steps)
+        mid, half = 0.5 * (a + b) * h, 0.5 * (b - a) * h
+        p = BarycentricInterpolator(np.arange(a, b + 1) * h - mid,
+                                    u.samples[a:b + 1])
+        local = np.exp(1j * np.multiply.outer(omegas, half * x))
+        out += half * np.exp(1j * omegas * mid) * (local @ (w * p(half * x)))
+    return out
 
 
 class TestMoments:
@@ -71,6 +90,20 @@ class TestMoments:
         for i, w in enumerate(freqs):
             assert got[i] == pytest.approx(_quad_moment(_Smooth(), float(w)),
                                            abs=1e-8)
+
+    @pytest.mark.parametrize("n_steps",
+                             [1, 3, 7, 8, 9, 13, 255, 257, 1000, 4096])
+    def test_sampled_moments_integrate_the_panel_interpolant(self, n_steps):
+        # rough samples, full and partial last panels, |omega| h up to 2
+        rng = np.random.default_rng(n_steps)
+        for T in (0.5, 1.3, 4.0):
+            u = ControlSignal(T, rng.standard_normal(n_steps + 1))
+            omegas = np.concatenate([[0.0, 2.0, -2.0],
+                                     rng.uniform(-2.0, 2.0, 8)]) / u.step
+            got = moments(u, omegas)
+            want = _panel_oracle(u, omegas)
+            assert (np.max(np.abs(got - want))
+                    <= 1e-11 * np.max(np.abs(want)))
 
     def test_parametric_moments_match_scipy_oracle(self):
         u = ControlSignal.from_terms(((7.0, 0.5 - 0.25j), (-7.0, 0.5 + 0.25j)),

@@ -284,6 +284,21 @@ class TestPropagateLinearized:
         b = dirichlet_prop.propagate_linearized(v_sampled, 1)
         assert (a - b).norm() < 1e-7
 
+    def test_sampled_band_limited_control_matches_parametric(
+            self, dirichlet_prop):
+        # frequencies below 40 at h = 0.8 / 1024: the 8-step panel
+        # interpolant of the samples reproduces the signal to roundoff
+        rng = np.random.default_rng(5)
+        terms = []
+        for f in rng.uniform(0.0, 40.0, 6):
+            a = rng.standard_normal() + 1j * rng.standard_normal()
+            terms += [(float(f), 0.5 * a), (float(-f), 0.5 * np.conj(a))]
+        v_param = ControlSignal.from_terms(terms, 0.8, 1024)
+        v_sampled = ControlSignal(0.8, v_param.samples)
+        a = dirichlet_prop.propagate_linearized(v_param, 1).coefficients
+        b = dirichlet_prop.propagate_linearized(v_sampled, 1).coefficients
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(a))
+
     def test_harmonic_half_line_matches_tail_closed_form(self):
         # [DERIVED] Duhamel coefficients with the tail-integral coupling
         prop = Propagator(HARMONIC, half_line_step(0.3), 24)
