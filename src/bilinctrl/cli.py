@@ -34,19 +34,33 @@ _DEFAULT_WEIGHTS = {
     ModelKind.HARMONIC: BoundWeight.INVERSE_SQRT_LAMBDA,
 }
 
+# rows of a CSV artifact formatted and written per block
+_CSV_BLOCK = 4096
 
-def write_csv(path: str, header: str, rows, config_hash: str) -> None:
+
+def write_csv(path: str, header: str, columns, config_hash: str) -> None:
+    """Write equal-length 1-D columns as CSV rows below the hash line and
+    the header.  Integer columns are written as decimal integers, every other
+    column as the shortest round-trip repr of its float64 values; lines end
+    in \\n.  Rows are formatted and written _CSV_BLOCK at a time, one template
+    per block.  columns is iterated exactly once."""
+    columns = [c if np.issubdtype(c.dtype, np.integer)
+               else c.astype(np.float64, copy=False)
+               for c in map(np.asarray, columns)]
+    n_rows = columns[0].size if columns else 0
+    if any(c.shape != (n_rows,) for c in columns):
+        raise ValueError("write_csv needs equal-length 1-D columns")
+    width = len(columns)
+    template = ",".join(["%s"] * width) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config_hash={config_hash}\n")
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(c) for c in row) + "\n")
-
-
-def _format_cell(c) -> str:
-    if isinstance(c, (int, np.integer)):
-        return str(int(c))
-    return repr(float(c))
+        for a in range(0, n_rows, _CSV_BLOCK):
+            n = min(_CSV_BLOCK, n_rows - a)
+            cells = [None] * (width * n)
+            for j, c in enumerate(columns):
+                cells[j::width] = c[a:a + n].tolist()
+            fh.write((template * n) % tuple(cells))
 
 
 def read_csv(path: str):
@@ -131,10 +145,9 @@ def _coefficient_rows(cfg: ExperimentConfig):
 def _cmd_spectrum(cfg, out):
     model = cfg.spectral_model()
     ks = index_window(model, cfg.numerics.N)
-    rows = [(int(k), eigenvalue(model, int(k))) for k in ks]
     path = os.path.join(out, "spectrum.csv")
-    write_csv(path, "k,lambda", rows, cfg.hash())
-    print(f"wrote {path} ({len(rows)} eigenvalues)")
+    write_csv(path, "k,lambda", (ks, eigenvalue(model, ks)), cfg.hash())
+    print(f"wrote {path} ({ks.size} eigenvalues)")
     return 0
 
 
@@ -164,7 +177,7 @@ def _cmd_resonance(cfg, out):
 def _cmd_coeffs(cfg, out):
     _, _, rows = _coefficient_rows(cfg)
     path = os.path.join(out, "coefficients.csv")
-    write_csv(path, "k,re,im,abs,weighted_abs", rows, cfg.hash())
+    write_csv(path, "k,re,im,abs,weighted_abs", zip(*rows), cfg.hash())
     print(f"wrote {path} ({len(rows)} coefficients)")
     return 0
 
@@ -187,9 +200,10 @@ def _cmd_bound_check(cfg, out):
 def _cmd_obstruction_scan(cfg, out):
     mu = cfg.piecewise_potential()
     report = neumann_obstruction_scan(mu, cfg.numerics.K)
-    rows = zip(report.indices, report.weighted, report.running_min)
     path = os.path.join(out, "obstruction.csv")
-    write_csv(path, "k,weighted_abs,running_min", rows, cfg.hash())
+    write_csv(path, "k,weighted_abs,running_min",
+              (report.indices, report.weighted, report.running_min),
+              cfg.hash())
     print(f"initial level {report.initial_level:.6g}, running minimum "
           f"{report.final_min:.6g} after K={cfg.numerics.K}")
     return 0
@@ -202,18 +216,18 @@ def _cmd_simulate(cfg, out):
     u = _control_from_task(cfg)
     traj = prop.propagate(basis_state(model, cfg.numerics.N, cfg.model.l), u)
     ks = index_window(model, cfg.numerics.N)
-    rows = []
-    for i, t in enumerate(traj.times):
-        for k, c in zip(ks, traj.states[i]):
-            rows.append((t, int(k), c.real, c.imag))
+    nt, nm = traj.states.shape
     path = os.path.join(out, "trajectory.csv")
-    write_csv(path, "t,k,re,im", rows, cfg.hash())
+    write_csv(path, "t,k,re,im",
+              (np.repeat(traj.times, nm), np.tile(ks, nt),
+               traj.states.real.ravel(), traj.states.imag.ravel()),
+              cfg.hash())
     weights = sobolev_weights(model, cfg.numerics.N, default_h1_norm(model))
-    norm_rows = [(t, float(np.linalg.norm(traj.states[i])),
-                  float(np.linalg.norm(weights * traj.states[i])))
-                 for i, t in enumerate(traj.times)]
+    # one norm per row: an axis=1 norm sums in another order
+    l2 = [np.linalg.norm(c) for c in traj.states]
+    h1 = [np.linalg.norm(weights * c) for c in traj.states]
     npath = os.path.join(out, "norms.csv")
-    write_csv(npath, "t,l2,h1", norm_rows, cfg.hash())
+    write_csv(npath, "t,l2,h1", (traj.times, l2, h1), cfg.hash())
     drift = float(np.abs(traj.norms() - 1.0).max())
     print(f"wrote {path} and {npath}; max unitarity drift {drift:.3e}")
     return 0
@@ -274,13 +288,13 @@ def _cmd_hermite_check(cfg, out):
             rows.append((float(a), k, rep.lhs.real, rep.rhs.real,
                          rep.abs_error))
     ipath = os.path.join(out, "hermite_identity.csv")
-    write_csv(ipath, "a,k,lhs,rhs,abs_error", rows, cfg.hash())
+    write_csv(ipath, "a,k,lhs,rhs,abs_error", zip(*rows), cfg.hash())
     x = np.linspace(-10.0, 10.0, 4001)
     phi = hermite_function_values(500, x)
     bound_rows = [(k, float(k**0.25 * np.abs(phi[k]).max()))
                   for k in range(10, 501)]
     bpath = os.path.join(out, "hermite_bound.csv")
-    write_csv(bpath, "k,scaled_max", bound_rows, cfg.hash())
+    write_csv(bpath, "k,scaled_max", zip(*bound_rows), cfg.hash())
     worst = max(r[-1] for r in rows)
     print(f"max identity error {worst:.3e}; scaled sup-norm range "
           f"[{min(r[1] for r in bound_rows):.4f}, "

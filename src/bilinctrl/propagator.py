@@ -14,10 +14,11 @@ unitary W = V^H H^2 V:
 
 Starting from z = V^H H^{-1} c_0, every step is z <- D_m (W z), a diagonal
 phase times one matvec, and c_{m+1} = H V z.  The rows D_m are computed
-_PHASE_BLOCK steps at a time by one vectorised exp, never as one table over
-all steps, which would hold n x N numbers.  Finiteness is checked once, on
-the final state: NaN and inf never become finite again under these products,
-so the first non-finite step is searched for only when that check fails.
+_PHASE_BLOCK steps at a time by one vectorised exp into one reused buffer,
+never as one table over all steps, which would hold n x N numbers.
+Finiteness is checked once, on the final state: NaN and inf never become
+finite again under these products, so the first non-finite step is searched
+for only when that check fails.
 """
 
 from __future__ import annotations
@@ -300,7 +301,8 @@ class Propagator:
         """Factors of the Strang product for u in the eigenbasis of B: the
         half-phase H, the merged unitary W = V^H H^2 V, and a callable that
         yields (m0, D) with D[j] the phase row D_{m0+j}, _PHASE_BLOCK steps at
-        a time.  reverse negates the generator and reads u backwards."""
+        a time, in one reused buffer.  reverse negates the generator and
+        reads u backwards."""
         sign = -1.0 if reverse else 1.0
         h = u.step
         mids = u.midpoint_values()
@@ -310,9 +312,15 @@ class Propagator:
         W = (self._V.conj().T * half**2) @ self._V
 
         def phase_blocks():
+            # one buffer for every block: each D is overwritten by the next
+            buf = np.empty((min(mids.size, _PHASE_BLOCK), self._w.size),
+                           dtype=complex)
             for m0 in range(0, mids.size, _PHASE_BLOCK):
                 theta = sign * h * mids[m0:m0 + _PHASE_BLOCK]
-                yield m0, np.exp(-1j * np.multiply.outer(theta, self._w))
+                D = buf[:theta.size]
+                np.multiply.outer(theta, self._w, out=D)
+                np.multiply(-1j, D, out=D)
+                yield m0, np.exp(D, out=D)
 
         return half, W, phase_blocks
 

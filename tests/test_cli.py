@@ -2,11 +2,18 @@
 handling."""
 
 import json
+import math
 import os
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bilinctrl.cli import main, read_csv, read_json
+from bilinctrl import (ControlSignal, Propagator, basis_state, index_window,
+                       load_config, neumann_example, neumann_obstruction_scan)
+from bilinctrl.cli import _CSV_BLOCK, main, read_csv, read_json, write_csv
 
 FAST = {
     "spectrum": ["--N", "8"],
@@ -165,3 +172,124 @@ def test_config_file_output_dir_respected(tmp_path):
                                 "numerics": {"N": 4}}))
     assert _run(["spectrum", "--config", str(path)]) == 0
     assert (out / "spectrum.csv").exists()
+
+
+# -- the CSV cell format ------------------------------------------------------
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf,
+                  -math.inf, math.nan, 0.1, 1 / 3]
+INT64 = np.iinfo(np.int64)
+SPECIAL_INTS = [0, 1, -1, INT64.max, INT64.min, INT64.max - 1, 2**53 + 1]
+ROW_COUNTS = [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1,
+              2 * _CSV_BLOCK + 3]
+
+
+def _oracle_csv(header, columns, config_hash) -> bytes:
+    """The artifact format one cell at a time: decimal integers, shortest
+    round-trip float repr, \\n line ends."""
+    lines = [f"# config_hash={config_hash}", header]
+    for row in zip(*columns):
+        lines.append(",".join(
+            str(int(c)) if isinstance(c, (int, np.integer))
+            else repr(float(c)) for c in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@st.composite
+def _columns(draw):
+    n_rows = draw(st.sampled_from(ROW_COUNTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for is_int in draw(st.lists(st.booleans(), min_size=1, max_size=5)):
+        if is_int:
+            pool = SPECIAL_INTS + draw(st.lists(
+                st.integers(INT64.min, INT64.max), max_size=8))
+            columns.append(np.array(pool, dtype=np.int64)[
+                rng.integers(len(pool), size=n_rows)])
+        else:
+            pool = SPECIAL_FLOATS + draw(st.lists(st.floats(), max_size=8))
+            columns.append(np.array(pool)[rng.integers(len(pool),
+                                                       size=n_rows)])
+    return columns
+
+
+@settings(max_examples=30, deadline=None)
+@given(columns=_columns(), one_shot=st.booleans())
+def test_write_csv_matches_per_cell_oracle_and_round_trips(columns,
+                                                           one_shot):
+    header = ",".join(f"c{j}" for j in range(len(columns)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.csv")
+        # a one-shot generator, as a wrapper that counts columns passes it
+        write_csv(path, header, (c for c in columns) if one_shot else columns,
+                  "0123456789abcdef")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        config_hash, names, rows = read_csv(path)
+    assert data == _oracle_csv(header, columns, "0123456789abcdef")
+    assert config_hash == "0123456789abcdef"
+    assert names == header.split(",")
+    assert len(rows) == columns[0].size
+    for j, column in enumerate(columns):
+        cells = [row[j] for row in rows]
+        if column.dtype.kind == "i":
+            assert np.array_equal(np.array([int(c) for c in cells],
+                                           dtype=np.int64), column)
+        else:
+            back = np.array([float(c) for c in cells])
+            nan = np.isnan(column)
+            assert np.array_equal(np.isnan(back), nan)
+            # bitwise, so -0.0 and the subnormals come back as written
+            assert back[~nan].tobytes() == column[~nan].tobytes()
+
+
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "x.csv"), "a,b",
+                  (np.arange(3), np.zeros(4)), "0" * 16)
+
+
+# -- row order of the CLI artifacts -------------------------------------------
+
+def test_simulate_trajectory_rows_are_time_major(tmp_path):
+    doc = {"model": {"kind": "periodic_magnetic", "drift": 1.0, "l": 0},
+           "potential": {"preset": "periodic_example"},
+           "numerics": {"N": 3, "n_steps": 1500},
+           "task": {"T": 0.2, "control": {
+               "type": "terms",
+               "terms": [[4.0, 0.5, 0.25], [-4.0, 0.5, -0.25]]}}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert _run(["simulate", "--config", str(path),
+                 "-o", str(tmp_path)]) == 0
+
+    cfg = load_config(doc)
+    model = cfg.spectral_model()
+    u = ControlSignal.from_terms([(4.0, 0.5 + 0.25j), (-4.0, 0.5 - 0.25j)],
+                                 0.2, 1500)
+    traj = Propagator(model, cfg.piecewise_potential(), 3).propagate(
+        basis_state(model, 3, 0), u)
+    ks = index_window(model, 3)
+    expected = [[repr(float(t)), str(int(k)), repr(float(c.real)),
+                 repr(float(c.imag))]
+                for t, row in zip(traj.times, traj.states)
+                for k, c in zip(ks, row)]
+    _, _, rows = read_csv(str(tmp_path / "trajectory.csv"))
+    assert len(expected) > _CSV_BLOCK
+    assert rows == expected
+    _, _, norm_rows = read_csv(str(tmp_path / "norms.csv"))
+    assert [r[0] for r in norm_rows] == [repr(float(t)) for t in traj.times]
+    assert [float(r[1]) for r in norm_rows] == [
+        float(np.linalg.norm(c)) for c in traj.states]
+
+
+def test_obstruction_scan_rows_match_the_scan(tmp_path):
+    K = _CSV_BLOCK + 7
+    assert _run(["obstruction-scan", "--model", "neumann", "--preset",
+                 "neumann_example", "--K", str(K), "-o", str(tmp_path)]) == 0
+    report = neumann_obstruction_scan(neumann_example(), K)
+    _, header, rows = read_csv(str(tmp_path / "obstruction.csv"))
+    assert header == ["k", "weighted_abs", "running_min"]
+    assert [int(r[0]) for r in rows] == report.indices.tolist()
+    assert [float(r[1]) for r in rows] == report.weighted.tolist()
+    assert [float(r[2]) for r in rows] == report.running_min.tolist()

@@ -227,6 +227,23 @@ class TestPropagate:
             assert np.array_equal(traj.final.coefficients,
                                   prop.endpoint(psi0, u).coefficients)
 
+    @pytest.mark.parametrize("n_steps", [1, _PHASE_BLOCK - 1, _PHASE_BLOCK,
+                                         _PHASE_BLOCK + 1,
+                                         2 * _PHASE_BLOCK + 3])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_phase_blocks_equal_the_unbuffered_rows(self, dirichlet_prop,
+                                                    n_steps, reverse):
+        rng = np.random.default_rng(n_steps)
+        u = ControlSignal(0.7, rng.standard_normal(n_steps + 1))
+        _, _, phase_blocks = dirichlet_prop._split_factors(u, reverse)
+        # the blocks share one buffer, so copy each before the next
+        got = np.concatenate([D.copy() for _, D in phase_blocks()])
+        sign = -1.0 if reverse else 1.0
+        mids = u.midpoint_values()[::-1] if reverse else u.midpoint_values()
+        theta = sign * u.step * mids
+        want = np.exp(-1j * np.multiply.outer(theta, dirichlet_prop._w))
+        assert got.tobytes() == want.tobytes()
+
     def test_overflowing_midpoint_names_the_first_bad_step(self,
                                                            dirichlet_prop):
         # the samples are finite, but their midpoint 1e308 + 1e308 is not
