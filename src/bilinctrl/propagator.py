@@ -13,9 +13,17 @@ unitary W = V^H H^2 V:
     c_n = H V D_{n-1} W ... W D_0 V^H H c_0.
 
 Starting from z = V^H H^{-1} c_0, every step is z <- D_m (W z), a diagonal
-phase times one matvec, and c_{m+1} = H V z.  The rows D_m are computed
-_PHASE_BLOCK steps at a time by one vectorised exp into one reused buffer,
-never as one table over all steps, which would hold n x N numbers.
+phase times one matvec, and c_{m+1} = H V z.  The same kernel runs a block Z
+of M rows, one matrix product per step: row 0 is the state under a control
+u, rows 1..M-2 the differences Psi(u + e v) - Psi(u) of the flows under
+u + e v from it, and row M-1 the discrete tangent along v.  With Y = Z W^T a
+step is Z <- D_m * Y, then Z[1:] += G_m * Y[0], where row i of D_m holds the
+phases of row i's control and G_m the gaps D_m(u + e v) - D_m(u) =
+D_m(u) (e^{-i h e v_m w} - 1), from sines, and -i h v_m w D_m(u) for the
+tangent.  A difference row never cancels against the state, so it keeps
+its relative accuracy however small e is.  The rows D_m (and G_m) are
+computed by vectorised ufuncs a block of steps at a time into reused
+buffers of about _PHASE_BLOCK rows of N, never as one table over all steps.
 Finiteness is checked once, on the final state: NaN and inf never become
 finite again under these products, so the first non-finite step is searched
 for only when that check fails.
@@ -297,32 +305,68 @@ class Propagator:
         self.B = coupling_matrix(mu, model, N)
         self._w, self._V = np.linalg.eigh(self.B)
 
-    def _split_factors(self, u: ControlSignal, reverse: bool = False):
-        """Factors of the Strang product for u in the eigenbasis of B: the
-        half-phase H, the merged unitary W = V^H H^2 V, and a callable that
-        yields (m0, D) with D[j] the phase row D_{m0+j}, _PHASE_BLOCK steps at
-        a time, in one reused buffer.  reverse negates the generator and
-        reads u backwards."""
+    def _split_factors(self, u: ControlSignal, v: ControlSignal | None = None,
+                       epsilons=(), reverse: bool = False):
+        """Factors of the Strang product in the eigenbasis of B: the
+        half-phase H, the transpose W^T of the merged unitary W = V^H H^2 V,
+        and a callable that yields (m0, D, G) for a block of steps m0,
+        m0 + 1, ..., in reused buffers.
+
+        For u alone, D[j] is the phase row D_{m0+j} of u and G is None, and
+        reverse negates the generator and reads u backwards.  With a
+        direction v (forward only), D[j] holds the phase rows of u, of u + e v for each e in
+        epsilons and of u again (the tangent row), and G[j] the gaps
+        D(u + e v) - D(u) for each e and the derivative -i h v w D(u)."""
         sign = -1.0 if reverse else 1.0
         h = u.step
         mids = u.midpoint_values()
         if reverse:
             mids = mids[::-1]
         half = np.exp(-0.5j * sign * h * self.lam)
-        W = (self._V.conj().T * half**2) @ self._V
+        WT = ((self._V.conj().T * half**2) @ self._V).T
+        w, n = self._w, mids.size
+
+        if v is None:
+            def phase_blocks():
+                # one buffer for every block: each D is overwritten by the next
+                buf = np.empty((min(n, _PHASE_BLOCK), w.size), dtype=complex)
+                for m0 in range(0, n, _PHASE_BLOCK):
+                    theta = sign * h * mids[m0:m0 + _PHASE_BLOCK]
+                    yield m0, _phase_rows(theta, w, buf[:theta.size]), None
+
+            return half, WT, phase_blocks
+
+        eps = np.asarray(epsilons, dtype=float)
+        k = eps.size
+        vmids = v.midpoint_values()
+        # D has k + 2 rows a step and G k + 1: a block holds about as many
+        # rows of N as the one-control buffer
+        steps = max(1, _PHASE_BLOCK // (2 * k + 3))
 
         def phase_blocks():
-            # one buffer for every block: each D is overwritten by the next
-            buf = np.empty((min(mids.size, _PHASE_BLOCK), self._w.size),
-                           dtype=complex)
-            for m0 in range(0, mids.size, _PHASE_BLOCK):
-                theta = sign * h * mids[m0:m0 + _PHASE_BLOCK]
-                D = buf[:theta.size]
-                np.multiply.outer(theta, self._w, out=D)
-                np.multiply(-1j, D, out=D)
-                yield m0, np.exp(D, out=D)
+            Dbuf = np.empty((min(n, steps), k + 2, w.size), dtype=complex)
+            Gbuf = np.empty((min(n, steps), k + 1, w.size), dtype=complex)
+            for m0 in range(0, n, steps):
+                theta = h * mids[m0:m0 + steps]
+                D, G = Dbuf[:theta.size], Gbuf[:theta.size]
+                d = _phase_rows(theta, w, D[:, 0])
+                # h v_m w, the phase angle per unit of e along v
+                psi = np.multiply.outer(h * vmids[m0:m0 + steps], w)
+                for i, e in enumerate(eps):
+                    # e^{-i a} - 1 = -2 sin^2(a/2) - i sin(a), no cancellation
+                    gap = G[:, i]
+                    gap.real = -2.0 * np.sin(0.5 * e * psi)**2
+                    gap.imag = -np.sin(e * psi)
+                    gap *= d
+                    np.add(d, gap, out=D[:, i + 1])
+                # B commutes with its own exponential, so the derivative of
+                # exp(-i(u + e v) h B) in e is -i v h B times it: -i h v_m w
+                # times the phase row in the eigenbasis
+                np.multiply(-1j * psi, d, out=G[:, k])
+                D[:, k + 1] = d
+                yield m0, D, G
 
-        return half, W, phase_blocks
+        return half, WT, phase_blocks
 
     def propagate(self, psi0: StateVector, u: ControlSignal,
                   store_trajectory: bool = True,
@@ -332,16 +376,16 @@ class Propagator:
         exactly (time reversibility)."""
         if psi0.size != self.indices.size:
             raise DomainError("state truncation does not match propagator")
-        half, W, phase_blocks = self._split_factors(u, reverse)
+        half, WT, phase_blocks = self._split_factors(u, reverse=reverse)
         n = u.n_steps
         states = np.empty((n + 1 if store_trajectory else 2, psi0.size),
                           dtype=complex)
         states[0] = psi0.coefficients
         z0 = self._V.conj().T @ (half.conj() * psi0.coefficients)
         rows = states[1:] if store_trajectory else None
-        z = _strang_steps(W, phase_blocks(), z0, rows)
+        z = _strang_steps(WT, phase_blocks(), z0, rows)
         if not np.all(np.isfinite(z)):
-            _strang_steps(W, phase_blocks(), z0, checked=True)
+            _strang_steps(WT, phase_blocks(), z0, checked=True)
         if store_trajectory:
             # c_{m+1} = H V z_m, in place, a block of rows at a time
             for a in range(1, n, _PHASE_BLOCK):
@@ -390,7 +434,9 @@ class Propagator:
             return self._linearized_free(v, l)
         if u_base is None:
             u_base = ControlSignal.zero(v.horizon, v.n_steps)
-        return self._linearized_discrete(v, l, u_base)
+        psi0 = basis_state(self.model, self.N, l)
+        return StateVector(self.model,
+                           self._endpoint_differences(psi0, u_base, v)[-1])
 
     def _linearized_free(self, v: ControlSignal, l: int) -> StateVector:
         b = self._source_column(l)
@@ -398,41 +444,52 @@ class Propagator:
         return StateVector(self.model, -1j * np.exp(-1j * self.lam * v.horizon)
                            * b * integral)
 
-    def _linearized_discrete(self, v: ControlSignal, l: int,
-                             u_base: ControlSignal) -> StateVector:
-        if v.samples.size != u_base.samples.size or v.horizon != u_base.horizon:
+    def _endpoint_differences(self, psi0: StateVector, u: ControlSignal,
+                              v: ControlSignal, epsilons=()) -> np.ndarray:
+        """Rows Psi(u), Psi(u + e v) - Psi(u) for each e in epsilons, and
+        the discrete tangent dPsi(u) v, with Psi the endpoint map of the
+        discrete flow from psi0, from one batched pass over the steps."""
+        if psi0.size != self.indices.size:
+            raise DomainError("state truncation does not match propagator")
+        if v.samples.size != u.samples.size or v.horizon != u.horizon:
             raise DomainError("controls live on different grids")
-        half, W, phase_blocks = self._split_factors(u_base)
-        c = basis_state(self.model, self.N, l).coefficients
-        # rows: the state z and the tangent zeta, both in the eigenbasis of B
-        Z = np.zeros((2, c.size), dtype=complex)
-        Z[0] = self._V.conj().T @ (half.conj() * c)
-        WT = W.T
-        # derivative of the step in the control direction: B commutes with
-        # its own exponential, so d/de exp(-i(u+ev)Bh) = -i v h B E, which is
-        # -i v h w times the new state in the eigenbasis
-        source = -1j * u_base.step * v.midpoint_values()
-        for m0, D in phase_blocks():
-            for j, d in enumerate(D):
-                Z = d * (Z @ WT)
-                Z[1] += source[m0 + j] * self._w * Z[0]
-        return StateVector(self.model, half * (self._V @ Z[1]))
+        half, WT, phase_blocks = self._split_factors(u, v, epsilons)
+        # the state row starts from psi0, the difference and tangent rows
+        # from zero
+        Z = np.zeros((np.size(epsilons) + 2, psi0.size), dtype=complex)
+        Z[0] = self._V.conj().T @ (half.conj() * psi0.coefficients)
+        out = _strang_steps(WT, phase_blocks(), Z)
+        if not np.all(np.isfinite(out)):
+            _strang_steps(WT, phase_blocks(), Z, checked=True)
+        return (out @ self._V.T) * half
 
 
-def _strang_steps(W: np.ndarray, phase_blocks, z: np.ndarray,
+def _phase_rows(theta: np.ndarray, w: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """out[j] = exp(-i theta[j] w), in place."""
+    np.multiply.outer(theta, w, out=out)
+    np.multiply(-1j, out, out=out)
+    return np.exp(out, out=out)
+
+
+def _strang_steps(WT: np.ndarray, phase_blocks, Z: np.ndarray,
                   rows: np.ndarray | None = None,
                   checked: bool = False) -> np.ndarray:
-    """Run z <- D_m (W z) over every step and return the final z.  Row m of
-    rows, when given, receives z after step m; checked raises at the first
-    step whose state is not finite."""
-    for m0, D in phase_blocks:
+    """Run Z <- D_m * (Z W^T) over every step and return the final Z, one
+    state or a block of rows, one per row of D_m.  With gaps G_m, rows 1..
+    then gain G_m * (Z W^T)[0].  Row m of rows, when given, receives Z after
+    step m; checked raises at the first step whose state is not finite."""
+    for m0, D, G in phase_blocks:
         for j, d in enumerate(D):
-            z = d * (W @ z)
+            Y = Z @ WT
+            Z = d * Y
+            if G is not None:
+                Z[1:] += G[j] * Y[0]
             if rows is not None:
-                rows[m0 + j] = z
-            if checked and not np.all(np.isfinite(z)):
+                rows[m0 + j] = Z
+            if checked and not np.all(np.isfinite(Z)):
                 raise NumericError(f"non-finite state at step {m0 + j}")
-    return z
+    return Z
 
 
 class SobolevNorm(enum.Enum):

@@ -13,7 +13,7 @@ from bilinctrl.integrals import poly_exp_integral
 from bilinctrl.potentials import (CoefficientMethod, PiecewisePotential,
                                   PotentialDomain, dirichlet_example,
                                   half_line_step, inner_product,
-                                  periodic_example)
+                                  neumann_example, periodic_example)
 from bilinctrl.propagator import (_PHASE_BLOCK, ControlSignal, Propagator,
                                   SobolevNorm, StateVector, basis_state,
                                   coupling_matrix, sobolev_norm)
@@ -43,6 +43,14 @@ def _ode_endpoint(prop, psi0, value, T):
     sol = solve_ivp(rhs, [0.0, T], y0, method="DOP853", rtol=1e-12,
                     atol=1e-13)
     return sol.y[:n, -1] + 1j * sol.y[n:, -1]
+
+
+def _unbuffered_phases(prop, u, reverse=False):
+    """The phase rows exp(-i theta_m w) of every step as one table."""
+    sign = -1.0 if reverse else 1.0
+    mids = u.midpoint_values()[::-1] if reverse else u.midpoint_values()
+    theta = sign * u.step * mids
+    return np.exp(-1j * np.multiply.outer(theta, prop._w))
 
 
 def _naive_strang(prop, psi0, u, reverse=False):
@@ -235,14 +243,43 @@ class TestPropagate:
                                                     n_steps, reverse):
         rng = np.random.default_rng(n_steps)
         u = ControlSignal(0.7, rng.standard_normal(n_steps + 1))
-        _, _, phase_blocks = dirichlet_prop._split_factors(u, reverse)
+        _, _, phase_blocks = dirichlet_prop._split_factors(u, reverse=reverse)
         # the blocks share one buffer, so copy each before the next
-        got = np.concatenate([D.copy() for _, D in phase_blocks()])
-        sign = -1.0 if reverse else 1.0
-        mids = u.midpoint_values()[::-1] if reverse else u.midpoint_values()
-        theta = sign * u.step * mids
-        want = np.exp(-1j * np.multiply.outer(theta, dirichlet_prop._w))
-        assert got.tobytes() == want.tobytes()
+        got = np.concatenate([D.copy() for _, D, _ in phase_blocks()])
+        assert got.tobytes() == _unbuffered_phases(dirichlet_prop, u,
+                                                   reverse).tobytes()
+
+    # three D rows and two G rows a step: _PHASE_BLOCK // 5 steps a block
+    @pytest.mark.parametrize("n_steps", [1, _PHASE_BLOCK // 5 - 1,
+                                         _PHASE_BLOCK // 5,
+                                         _PHASE_BLOCK // 5 + 1, 257])
+    @pytest.mark.parametrize("e", [0.3, 1e-9])
+    def test_direction_blocks_hold_the_rows_of_each_control(
+            self, dirichlet_prop, n_steps, e):
+        rng = np.random.default_rng(n_steps)
+        u = ControlSignal(0.7, rng.standard_normal(n_steps + 1))
+        v = ControlSignal(0.7, rng.standard_normal(n_steps + 1))
+        _, _, phase_blocks = dirichlet_prop._split_factors(u, v, (e,))
+        blocks = [(m0, D.copy(), G.copy()) for m0, D, G in phase_blocks()]
+        assert [m0 for m0, _, _ in blocks] == list(
+            range(0, n_steps, _PHASE_BLOCK // 5))
+        D = np.concatenate([D for _, D, _ in blocks])
+        G = np.concatenate([G for _, _, G in blocks])
+        size = dirichlet_prop.indices.size
+        assert D.shape == (n_steps, 3, size) and G.shape == (n_steps, 2, size)
+        # rows of u, u + e v and u (the tangent row)
+        d0 = _unbuffered_phases(dirichlet_prop, u)
+        assert D[:, 0].tobytes() == d0.tobytes()
+        assert D[:, 2].tobytes() == d0.tobytes()
+        de = _unbuffered_phases(dirichlet_prop, u + v.scaled(e))
+        assert np.max(np.abs(D[:, 1] - de)) < 1e-14
+        # the gap D(u + e v) - D(u) to full relative accuracy, however small
+        # e is, and the derivative of D(u) along v
+        a = np.multiply.outer(e * u.step * v.midpoint_values(),
+                              dirichlet_prop._w)
+        gap = d0 * (-2.0 * np.sin(0.5 * a)**2 - 1j * np.sin(a))
+        assert np.max(np.abs(G[:, 0] - gap)) <= 1e-15 * np.max(np.abs(gap))
+        assert np.max(np.abs(G[:, 1] - -1j * a / e * d0)) < 1e-14
 
     def test_overflowing_midpoint_names_the_first_bad_step(self,
                                                            dirichlet_prop):
@@ -254,6 +291,68 @@ class TestPropagate:
             with pytest.raises(NumericError, match=r"step 100$"):
                 dirichlet_prop.propagate(basis_state(DIRICHLET, 64, 1), u,
                                          store_trajectory=False)
+
+
+class TestEndpointDifferences:
+    """One batched pass for Psi(u), Psi(u + e v) - Psi(u) for three e and the
+    discrete tangent along v, as endpoint_derivative_check runs it."""
+
+    @pytest.mark.parametrize("model,mu,l,N", [
+        (DIRICHLET, dirichlet_example(), 1, 32),
+        # the periodic window at N = 64 holds 65 modes
+        (PERIODIC, periodic_example(), 0, 64),
+        (NEUMANN, neumann_example(), 0, 24),
+        (HARMONIC, half_line_step(0.3), 0, 20),
+    ])
+    # five D rows and four G rows a step: _PHASE_BLOCK // 9 = 28 steps a block
+    @pytest.mark.parametrize("n_steps", [1, 27, 28, 29, 257])
+    def test_rows_match_separate_passes(self, model, mu, l, N, n_steps):
+        prop = Propagator(model, mu, N)
+        rng = np.random.default_rng(n_steps)
+        u = ControlSignal(0.5, 0.3 * rng.standard_normal(n_steps + 1))
+        v = ControlSignal(0.5, rng.standard_normal(n_steps + 1))
+        psi0 = basis_state(model, N, l)
+        epsilons = (1e-2, 1e-3, 1e-4)
+        rows = prop._endpoint_differences(psi0, u, v, epsilons)
+        assert rows.shape == (5, prop.indices.size)
+        base = prop.endpoint(psi0, u).coefficients
+        assert np.max(np.abs(rows[0] - base)) <= 1e-13
+        for row, e in zip(rows[1:], epsilons):
+            want = prop.endpoint(psi0, u + v.scaled(e)).coefficients
+            assert np.max(np.abs(rows[0] + row - want)) <= 1e-13
+        xi = prop.propagate_linearized(v, l, u_base=u, mode="discrete")
+        assert np.max(np.abs(rows[-1] - xi.coefficients)) <= 1e-14
+
+    def test_differences_keep_their_digits_below_roundoff(self,
+                                                          dirichlet_prop):
+        # (Psi(u + e v) - Psi(u)) / e - xi = O(e); two endpoints subtracted
+        # would leave about 1e-16 / e of roundoff instead
+        rng = np.random.default_rng(4)
+        u = ControlSignal(0.5, 0.3 * rng.standard_normal(1025))
+        v = ControlSignal(0.5, rng.standard_normal(1025))
+        psi0 = basis_state(DIRICHLET, 64, 1)
+        e = 1e-10
+        _, delta, xi = dirichlet_prop._endpoint_differences(psi0, u, v, (e,))
+        assert np.max(np.abs(delta / e - xi)) < 1e-8
+
+    def test_controls_on_different_grids_rejected(self, dirichlet_prop):
+        psi0 = basis_state(DIRICHLET, 64, 1)
+        u = ControlSignal.zero(0.5, 64)
+        for other in (ControlSignal.zero(0.5, 128),
+                      ControlSignal.zero(0.7, 64)):
+            with pytest.raises(DomainError):
+                dirichlet_prop._endpoint_differences(psi0, u, other)
+
+    def test_overflowing_midpoint_names_the_first_bad_step(self,
+                                                           dirichlet_prop):
+        samples = np.zeros(513)
+        samples[100:102] = 1e308
+        u = ControlSignal(1.0, samples)
+        v = ControlSignal(1.0, np.ones(513))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"step 100$"):
+                dirichlet_prop._endpoint_differences(
+                    basis_state(DIRICHLET, 64, 1), u, v, (1e-3,))
 
 
 class TestPropagateLinearized:

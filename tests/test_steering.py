@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilinctrl.errors import (ControllabilityDefectError, DegeneracyError,
-                              DomainError, NonConvergenceError)
+                              DomainError, NonConvergenceError, NumericError)
 from bilinctrl.potentials import (PiecewisePotential, dirichlet_example,
                                   half_line_step, neumann_example,
                                   periodic_example)
@@ -230,3 +230,48 @@ class TestEndpointDerivative:
         with pytest.raises(DomainError):
             endpoint_derivative_check(u, v, DIRICHLET, dirichlet_example(),
                                       1, 0.5)
+
+    def test_slope_is_not_set_by_roundoff(self):
+        # a derivative-check input whose remainder at eps = 1e-4 is ~1e-14,
+        # the roundoff of a 4096-step endpoint: subtracting two endpoints
+        # read a slope of 1.83 here, the endpoint differences read 2
+        from bilinctrl.cli import _band_limited
+        rng = np.random.default_rng(2078394913)
+        u = _band_limited(rng, 0.5, 4096)
+        v = _band_limited(rng, 0.5, 4096)
+        slope = endpoint_derivative_check(u, v, PERIODIC, periodic_example(),
+                                          0, 0.5, N=64)
+        assert abs(slope - 2.0) < 1e-3
+
+    def test_overflowing_midpoint_names_the_first_bad_step(self):
+        # the samples are finite, but their midpoint 1e308 + 1e308 is not
+        samples = np.zeros(513)
+        samples[100:102] = 1e308
+        u = ControlSignal(0.5, samples)
+        v = ControlSignal(0.5, np.ones(513))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"step 100$"):
+                endpoint_derivative_check(u, v, DIRICHLET,
+                                          dirichlet_example(), 1, 0.5, N=16)
+
+    @pytest.mark.parametrize("epsilons", [
+        (1e-2, -1e-3, 1e-4), (1e-3,) * 3, (1e-2,), (), (0.0, 1e-3),
+        (1e-2, np.inf), (1e-2, np.nan), [[1e-2, 1e-3]], 1e-3,
+    ], ids=["negative", "repeated", "single", "empty", "zero", "inf", "nan",
+            "2-D", "scalar"])
+    def test_epsilons_must_be_distinct_positive_finite(self, epsilons):
+        u = ControlSignal.zero(0.5, 64)
+        v = ControlSignal.constant(1.0, 0.5, 64)
+        with pytest.raises(DomainError, match="epsilons"):
+            endpoint_derivative_check(u, v, DIRICHLET, dirichlet_example(),
+                                      1, 0.5, N=8, epsilons=epsilons)
+
+    def test_two_epsilons_suffice(self):
+        T = 0.5
+        rng = np.random.default_rng(5)
+        u = ControlSignal(T, 0.2 * rng.standard_normal(257))
+        v = ControlSignal(T, rng.standard_normal(257))
+        slope = endpoint_derivative_check(u, v, DIRICHLET,
+                                          dirichlet_example(), 1, T, N=16,
+                                          epsilons=(1e-2, 1e-3))
+        assert 1.8 < slope < 2.2
