@@ -121,6 +121,7 @@ class MomentSolution:
             "coefficients_im": self.coefficients.imag.tolist(),
             "gram_condition": self.gram_condition,
             "residual_max": self.residual_max,
+            "n_steps": self.control.n_steps,
         }, indent=2)
 
     @staticmethod
@@ -134,7 +135,7 @@ class MomentSolution:
                   + 1j * np.asarray(doc["coefficients_im"]))
         control = _exponential_sum_control(
             np.asarray(problem.frequencies), coeffs, problem.horizon,
-            DEFAULT_STEPS)
+            doc.get("n_steps", DEFAULT_STEPS))
         mom = moments(control, problem.frequencies)
         return MomentSolution(problem=problem, control=control,
                               coefficients=coeffs,

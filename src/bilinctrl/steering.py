@@ -52,20 +52,23 @@ def linearized_control(target: StateVector, model: SpectralModel,
     over the first K modes; tail modes carry implicit zero targets."""
     model.check_index(l)
     table = coefficient_table(mu, model, l, K)
-    lam_l = eigenvalue(model, l)
-    freqs, targets = [], []
-    for k, b in zip(table.indices, table.values):
-        if abs(b) < _COEFFICIENT_FLOOR:
-            raise ControllabilityDefectError(
-                f"coupling coefficient at mode {k} vanishes; the moment "
-                "target is undefined", index=k)
-        lam_k = eigenvalue(model, k)
-        x = 1j * np.exp(1j * lam_k * T) * target.coefficient(k) / b
-        freqs.append(lam_k - lam_l)
-        targets.append(x)
-    if all(abs(x) < 1e-15 for x in targets):
+    ks, b = np.asarray(table.indices), np.asarray(table.values)
+    vanishing = np.flatnonzero(np.abs(b) < _COEFFICIENT_FLOOR)
+    if vanishing.size:
+        k = int(ks[vanishing[0]])
+        raise ControllabilityDefectError(
+            f"coupling coefficient at mode {k} vanishes; the moment "
+            "target is undefined", index=k)
+    if ks[0] < target.indices[0] or ks[-1] > target.indices[-1]:
+        raise DomainError(f"modes {ks[0]}..{ks[-1]} outside the truncation "
+                          "window")
+    lam_k = eigenvalue(model, ks)
+    targets = (1j * np.exp(1j * lam_k * T)
+               * target.coefficients[ks - target.indices[0]] / b)
+    if np.all(np.abs(targets) < 1e-15):
         return ControlSignal.zero(T, n_steps)
-    problem = MomentProblem(T, tuple(freqs), tuple(targets))
+    problem = MomentProblem(T, tuple(lam_k - eigenvalue(model, l)),
+                            tuple(targets))
     solution = solve(problem, condition_cap=condition_cap, n_steps=n_steps)
     return solution.control
 
@@ -155,8 +158,8 @@ def steer(problem: SteeringProblem, K: int, N: int | None = None,
             raise NonConvergenceError(
                 "steering residual grew two iterations in a row",
                 history=history)
-        r_window = StateVector(model, np.asarray(
-            [r.coefficient(int(k)) for k in window_k]))
+        # K <= N: the first K modes sit inside r's contiguous window
+        r_window = StateVector(model, r.coefficients[window_k - r.indices[0]])
         v = linearized_control(r_window, model, problem.mu, problem.l,
                                problem.T, K, n_steps=n_steps)
         u = u + v

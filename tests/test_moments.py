@@ -1,6 +1,8 @@
 """Trigonometric moment problems: Gram solves, symmetrization, round trips,
 conditioning, and frame diagnostics."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from scipy.interpolate import BarycentricInterpolator
 from bilinctrl.errors import DegeneracyError, IllConditionedError
 from bilinctrl.moments import (MomentProblem, MomentSolution,
                                bessel_diagnostic, moments, solve, symmetrize)
-from bilinctrl.propagator import ControlSignal
+from bilinctrl.propagator import DEFAULT_STEPS, ControlSignal
 from bilinctrl.spectral import SpectralModel, transition_frequencies
 
 
@@ -275,6 +277,18 @@ class TestSolve:
         assert back.problem.frequencies == sol.problem.frequencies
         assert np.allclose(back.coefficients, sol.coefficients)
         assert back.gram_condition == pytest.approx(sol.gram_condition)
+
+    def test_json_round_trip_keeps_the_grid(self):
+        sol = solve(MomentProblem(1.0, (0.0, 2.0, 5.0),
+                                  (1.0, 0.5 + 0.5j, -0.25j)), n_steps=1024)
+        back = MomentSolution.from_json(sol.to_json())
+        assert back.control.n_steps == 1024
+        assert np.array_equal(back.control.samples, sol.control.samples)
+        # a file written without the grid loads on the default one
+        doc = json.loads(sol.to_json())
+        del doc["n_steps"]
+        old = MomentSolution.from_json(json.dumps(doc))
+        assert old.control.n_steps == DEFAULT_STEPS
 
 
 class TestBesselDiagnostic:

@@ -537,3 +537,41 @@ class TestControlSignal:
     def test_midpoints_of_sampled_signal(self):
         u = ControlSignal(1.0, np.array([0.0, 2.0, 4.0]))
         assert np.allclose(u.midpoint_values(), [1.0, 3.0])
+
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_terms_need_a_step(self, n_steps):
+        with pytest.raises(DomainError):
+            ControlSignal.from_terms(((0.0, 1.0),), 1.0, n_steps)
+
+    def test_complex_midpoints_are_rejected(self):
+        # built directly, the constructor never evaluates the terms
+        u = ControlSignal(1.0, np.zeros(65), ((1.0, 1.0 + 0.0j),))
+        with pytest.raises(NumericError):
+            u.midpoint_values()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), pairs=st.integers(0, 20),
+           dc=st.booleans(), fmax=st.sampled_from([1.0, 1e2, 1e4]),
+           T=st.floats(0.05, 4.0),
+           # around B^2 and the block boundaries of both grids
+           n_steps=st.sampled_from([1, 2, 3, 63, 64, 65, 4095, 4096]))
+    def test_grid_values_match_a_per_term_loop(self, seed, pairs, dc, fmax,
+                                               T, n_steps):
+        rng = np.random.default_rng(seed)
+        f = rng.uniform(-fmax, fmax, pairs)
+        a = ((rng.standard_normal(pairs) + 1j * rng.standard_normal(pairs))
+             * 10.0**rng.uniform(-3.0, 3.0, pairs))
+        terms = [(0.0, rng.standard_normal())] if dc or not pairs else []
+        terms += list(zip(f, a)) + list(zip(-f, a.conj()))
+        u = ControlSignal.from_terms(terms, T, n_steps)
+        # the floor set by rounding f t, for any evaluation of the sum
+        bound = (8.0 * np.finfo(float).eps
+                 * (1.0 + max(abs(fj) for fj, _ in terms) * T)
+                 * sum(abs(aj) for _, aj in terms))
+        for got, t in ((u.samples, np.linspace(0.0, T, n_steps + 1)),
+                       (u.midpoint_values(), u.times[:-1] + 0.5 * u.step)):
+            ref = np.zeros(t.size, dtype=complex)
+            for fj, aj in terms:
+                ref += aj * np.exp(1j * fj * t)
+            assert got.shape == t.shape
+            assert np.max(np.abs(got - ref.real)) <= bound

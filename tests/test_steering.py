@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from bilinctrl.errors import (ControllabilityDefectError, DegeneracyError,
                               DomainError, NonConvergenceError, NumericError)
-from bilinctrl.potentials import (PiecewisePotential, dirichlet_example,
-                                  half_line_step, neumann_example,
-                                  periodic_example)
+from bilinctrl.moments import MomentProblem, solve
+from bilinctrl.potentials import (PiecewisePotential, coefficient_table,
+                                  dirichlet_example, half_line_step,
+                                  neumann_example, periodic_example)
 from bilinctrl.propagator import (ControlSignal, Propagator, SobolevNorm,
                                   StateVector, basis_state, sobolev_norm)
-from bilinctrl.spectral import SpectralModel
+from bilinctrl.spectral import SpectralModel, eigenvalue
 from bilinctrl.steering import (SteeringProblem, eigensolution,
                                 endpoint_derivative_check, linearized_control,
                                 perturbed_target, project_tangent, steer)
@@ -100,8 +101,57 @@ class TestLinearizedControl:
             linearized_control(project_tangent(target, 0, 0.5), NEUMANN,
                                neumann_example(), 0, 0.5, 10)
 
+    def test_defect_names_the_first_vanishing_mode(self):
+        table = coefficient_table(neumann_example(), NEUMANN, 0, 10)
+        first = next(k for k, b in zip(table.indices, table.values)
+                     if abs(b) < 1e-12)
+        target = StateVector(NEUMANN, np.full(10, 1e-3 + 0j))
+        with pytest.raises(ControllabilityDefectError) as err:
+            linearized_control(target, NEUMANN, neumann_example(), 0, 0.5,
+                               10)
+        assert err.value.index == first
+
+    def test_target_smaller_than_the_window_is_rejected(self):
+        target = StateVector(DIRICHLET, np.full(8, 1e-3 + 0j))
+        with pytest.raises(DomainError):
+            linearized_control(target, DIRICHLET, dirichlet_example(), 1,
+                               0.5, 10)
+
+    @pytest.mark.parametrize("model,mu,l,T,K", [
+        (DIRICHLET, dirichlet_example(), 1, 0.5, 20),
+        (PERIODIC, periodic_example(), 0, 0.5, 21),
+        (HARMONIC, half_line_step(0.3), 0, 1.05 * np.pi, 30),
+    ])
+    def test_moment_targets_match_a_per_mode_loop(self, model, mu, l, T, K):
+        rng = np.random.default_rng(4)
+        target = project_tangent(StateVector(model, 1e-2 * (
+            rng.standard_normal(K) + 1j * rng.standard_normal(K))), l, T)
+        table = coefficient_table(mu, model, l, K)
+        freqs, targets = [], []
+        for k, b in zip(table.indices, table.values):
+            lam_k = eigenvalue(model, k)
+            freqs.append(lam_k - eigenvalue(model, l))
+            targets.append(1j * np.exp(1j * lam_k * T)
+                           * target.coefficient(k) / b)
+        ref = solve(MomentProblem(T, tuple(freqs), tuple(targets))).control
+        got = linearized_control(target, model, mu, l, T, K)
+        assert [f for f, _ in got.parametric] == [f for f, _ in ref.parametric]
+        a_got = np.asarray([a for _, a in got.parametric])
+        a_ref = np.asarray([a for _, a in ref.parametric])
+        assert np.max(np.abs(a_got - a_ref)) <= 1e-15 * np.max(np.abs(a_ref))
+
 
 class TestSteer:
+    def test_periodic_control_window_inside_a_wider_truncation(self):
+        # the symmetric window -5..5 of K = 11 sits mid-way in -7..7
+        N, K, T = 15, 11, 0.5
+        psi1 = perturbed_target(PERIODIC, N, 0, T, 1e-3, 2, K=K)
+        problem = SteeringProblem(PERIODIC, periodic_example(), 0, T,
+                                  basis_state(PERIODIC, N, 0), psi1,
+                                  max_iters=1)
+        report = steer(problem, K=K, N=N, n_steps=1024)
+        assert report.residuals[1] < 1e-2 * report.residuals[0]
+
     def test_trivial_problem_converges_immediately(self):
         N = 12
         psi0 = basis_state(DIRICHLET, N, 1)
