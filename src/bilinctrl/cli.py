@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config_file
 from .errors import BilinearControlError, ConfigError
-from .moments import MomentProblem, solve
+from .moments import MomentProblem, moments, solve
 from .potentials import (BoundWeight, coefficient_table,
                          harmonic_coefficient_identity,
                          neumann_obstruction_scan, verify_lower_bound)
@@ -206,6 +206,16 @@ def _cmd_obstruction_scan(cfg, out):
               cfg.hash())
     print(f"initial level {report.initial_level:.6g}, running minimum "
           f"{report.final_min:.6g} after K={cfg.numerics.K}")
+    if report.initial_level > 0.0:
+        print(f"running minimum / initial level "
+              f"{report.final_min / report.initial_level:.3e}")
+    zeros = report.weighted < 1e-12
+    n_zeros = np.count_nonzero(zeros)
+    if n_zeros:
+        print(f"{n_zeros} exact zeros, first few: "
+              f"{report.indices[zeros][:8].tolist()}")
+    else:
+        print("no exact zeros found")
     return 0
 
 
@@ -233,16 +243,42 @@ def _cmd_simulate(cfg, out):
     return 0
 
 
+def _transition_family(cfg: ExperimentConfig):
+    """Frequencies lambda_k - lambda_l of the model for k in the index window
+    of size K, with seeded targets: real N(0,1) at frequency 0, otherwise
+    N(0,1) + i N(0,1)."""
+    model = cfg.spectral_model()
+    lam = eigenvalue(model, index_window(model, cfg.numerics.K))
+    freqs = tuple(lam - eigenvalue(model, cfg.model.l))
+    rng = np.random.default_rng(cfg.task.seed)
+    targets = tuple(complex(rng.standard_normal()) if w == 0.0
+                    else rng.standard_normal() + 1j * rng.standard_normal()
+                    for w in freqs)
+    return freqs, targets
+
+
 def _cmd_moments_solve(cfg, out):
-    targets = tuple(complex(re, im) for re, im in
-                    zip(cfg.task.targets_re, cfg.task.targets_im))
-    problem = MomentProblem(cfg.task.T, cfg.task.frequencies, targets)
+    task = cfg.task
+    if task.frequencies or task.targets_re or task.targets_im:
+        freqs = task.frequencies
+        targets = tuple(complex(re, im) for re, im in
+                        zip(task.targets_re, task.targets_im))
+    else:
+        freqs, targets = _transition_family(cfg)
+    problem = MomentProblem(task.T, freqs, targets)
     solution = solve(problem, condition_cap=cfg.numerics.condition_cap,
                      n_steps=cfg.numerics.n_steps)
+    doc = json.loads(solution.to_json())
+    doc["control_l2_norm"] = solution.control.l2_norm()
+    doc["moment_misfit"] = float(np.max(np.abs(
+        moments(solution.control, np.asarray(problem.frequencies))
+        - np.asarray(problem.targets))))
     path = os.path.join(out, "moments.json")
-    write_json(path, json.loads(solution.to_json()), cfg.hash())
+    write_json(path, doc, cfg.hash())
     print(f"gram condition {solution.gram_condition:.3e}, max residual "
-          f"{solution.residual_max:.3e}")
+          f"{solution.residual_max:.3e}, moment misfit "
+          f"{doc['moment_misfit']:.3e}, control L2 norm "
+          f"{doc['control_l2_norm']:.3e}")
     return 0
 
 

@@ -56,6 +56,8 @@ class TaskConfig:
     kmax: int = 50
     weight: str | None = None
     control: dict = field(default_factory=lambda: {"type": "zero"})
+    # moments-solve data; with all three empty it solves the model's
+    # transition family lambda_k - lambda_l over K modes, targets from seed
     frequencies: tuple = ()
     targets_re: tuple = ()
     targets_im: tuple = ()

@@ -69,6 +69,10 @@ class StateVector:
         coeffs = np.asarray(self.coefficients, dtype=complex)
         if not np.all(np.isfinite(coeffs)):
             raise NumericError("non-finite state coefficients")
+        # the periodic window -M..M is odd, so an even count names no modes
+        if index_window(self.model, coeffs.size).size != coeffs.size:
+            raise DomainError(f"{coeffs.size} coefficients match no index "
+                              f"window of the {self.model.kind.value} model")
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
@@ -440,8 +444,8 @@ class Propagator:
         return self.B[:, pos[0]]
 
     def propagate_linearized(self, v: ControlSignal, l: int,
-                             u_base: ControlSignal | None = None,
-                             mode: str = "auto") -> StateVector:
+                             u_base: ControlSignal | None = None
+                             ) -> StateVector:
         """Endpoint of the linearization around the free eigensolution
         (u_base None or zero) or around a general base control.
 
@@ -457,17 +461,9 @@ class Propagator:
         is what a finite-difference check of the endpoint map differentiates.
         """
         self.model.check_index(l)
-        if mode not in ("auto", "exact_phase", "discrete"):
-            raise DomainError(f"unknown linearization mode {mode!r}")
-        free_base = u_base is None or (u_base.parametric == ((0.0, 0.0j),)
-                                       or not np.any(u_base.samples))
-        if mode == "exact_phase" or (mode == "auto" and free_base):
-            if not free_base:
-                raise DomainError(
-                    "exact-phase linearization needs a zero base control")
+        if u_base is None or (u_base.parametric == ((0.0, 0.0j),)
+                              or not np.any(u_base.samples)):
             return self._linearized_free(v, l)
-        if u_base is None:
-            u_base = ControlSignal.zero(v.horizon, v.n_steps)
         psi0 = basis_state(self.model, self.N, l)
         return StateVector(self.model,
                            self._endpoint_differences(psi0, u_base, v)[-1])

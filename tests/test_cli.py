@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilinctrl import (ControlSignal, Propagator, basis_state, index_window,
-                       load_config, neumann_example, neumann_obstruction_scan)
+from bilinctrl import (ControlSignal, ExperimentConfig, MomentProblem,
+                       Propagator, basis_state, eigenvalue, index_window,
+                       indicator, load_config, moments, neumann_example,
+                       neumann_obstruction_scan, solve)
 from bilinctrl.cli import _CSV_BLOCK, main, read_csv, read_json, write_csv
 
 FAST = {
@@ -71,6 +73,51 @@ def test_moments_solve_from_config(tmp_path):
     doc = read_json(str(tmp_path / "moments.json"))
     assert doc["residual_max"] < 1e-8
     assert "config_hash" in doc
+
+
+def _transition_family(model, l, K, seed):
+    """lambda_k - lambda_l one mode at a time over the window, with targets
+    drawn in order: real N(0,1) at frequency 0, else N(0,1) + i N(0,1)."""
+    freqs = tuple(float(eigenvalue(model, int(k)) - eigenvalue(model, l))
+                  for k in index_window(model, K))
+    rng = np.random.default_rng(seed)
+    targets = tuple(complex(rng.standard_normal()) if w == 0.0
+                    else rng.standard_normal() + 1j * rng.standard_normal()
+                    for w in freqs)
+    return freqs, targets
+
+
+def test_moments_solve_defaults_to_the_transition_family(tmp_path):
+    assert _run(["moments-solve", "-o", str(tmp_path)]) == 0
+    doc = read_json(str(tmp_path / "moments.json"))
+    cfg = ExperimentConfig()
+    freqs, targets = _transition_family(cfg.spectral_model(), cfg.model.l,
+                                        cfg.numerics.K, cfg.task.seed)
+    sol = solve(MomentProblem(cfg.task.T, freqs, targets),
+                condition_cap=cfg.numerics.condition_cap,
+                n_steps=cfg.numerics.n_steps)
+    assert doc["coefficients_re"] == sol.coefficients.real.tolist()
+    assert doc["coefficients_im"] == sol.coefficients.imag.tolist()
+    assert doc["gram_condition"] == sol.gram_condition
+    assert round(doc["gram_condition"], 3) == 1.449
+    assert doc["control_l2_norm"] == sol.control.l2_norm()
+    misfit = np.abs(moments(sol.control, np.asarray(freqs))
+                    - np.asarray(targets))
+    assert doc["moment_misfit"] == float(misfit.max())
+
+
+def test_moments_solve_harmonic_horizon_row(tmp_path):
+    # one row of a horizon sweep: the harmonic gaps are 2, resolvable
+    # beyond T = pi
+    assert _run(["moments-solve", "--model", "harmonic", "--K", "30",
+                 "--l", "0", "--T", repr(1.2 * np.pi),
+                 "-o", str(tmp_path)]) == 0
+    doc = read_json(str(tmp_path / "moments.json"))
+    assert doc["gram_condition"] == pytest.approx(2.0000000000000027,
+                                                  rel=1e-12)
+    assert doc["control_l2_norm"] == pytest.approx(5.155752676739135,
+                                                   rel=1e-12)
+    assert doc["moment_misfit"] < 1e-13
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -293,3 +340,56 @@ def test_obstruction_scan_rows_match_the_scan(tmp_path):
     assert [int(r[0]) for r in rows] == report.indices.tolist()
     assert [float(r[1]) for r in rows] == report.weighted.tolist()
     assert [float(r[2]) for r in rows] == report.running_min.tolist()
+
+
+def _indicator_config(a, b):
+    """The potential section of indicator(a, b) on the unit interval."""
+    if a > 0.0:
+        return {"preset": None, "breakpoints": [a, b],
+                "pieces": [[0.0], [1.0], [0.0]]}
+    return {"preset": None, "breakpoints": [b], "pieces": [[1.0], [0.0]]}
+
+
+@pytest.mark.parametrize("a, b, summary", [
+    (0.0, 0.41421356, "no exact zeros found"),
+    (1 / 3, 2 / 3, "6548 exact zeros, first few: [1, 3, 5, 6, 7, 9, 11, 12]"),
+], ids=["irrational", "thirds"])
+def test_obstruction_scan_of_an_indicator(a, b, summary, tmp_path, capsys):
+    K = 10_000
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"potential": _indicator_config(a, b),
+                                "numerics": {"K": K}}))
+    assert _run(["obstruction-scan", "--config", str(path),
+                 "-o", str(tmp_path)]) == 0
+    report = neumann_obstruction_scan(indicator(a, b), K)
+    _, _, rows = read_csv(str(tmp_path / "obstruction.csv"))
+    assert [float(r[1]) for r in rows] == report.weighted.tolist()
+    assert [float(r[2]) for r in rows] == report.running_min.tolist()
+    out = capsys.readouterr().out
+    ratio = report.final_min / report.initial_level
+    assert f"running minimum / initial level {ratio:.3e}" in out
+    assert summary in out
+
+
+# -- steering on each model ---------------------------------------------------
+
+@pytest.mark.parametrize("args", [
+    ["--model", "harmonic", "--preset", "half_line_step", "--a", "0.3",
+     "--l", "0", "--T", repr(1.2 * np.pi)],
+    ["--model", "periodic_magnetic", "--drift", "1", "--preset",
+     "periodic_example", "--l", "0", "--T", "0.4"],
+], ids=["harmonic", "periodic"])
+def test_steer_converges_off_dirichlet(args, tmp_path):
+    assert _run(["steer", *args, "--N", "20", "--K", "20",
+                 "-o", str(tmp_path)]) == 0
+    doc = read_json(str(tmp_path / "steering.json"))
+    assert doc["converged"]
+    assert doc["final_error"] < 1e-8
+
+
+def test_steer_names_the_vanishing_neumann_mode(tmp_path, capsys):
+    # neumann_example is the obstruction: its coupling to mode 1 vanishes
+    assert _run(["steer", "--model", "neumann", "--preset", "neumann_example",
+                 "--l", "0", "--N", "20", "--K", "20", "--T", "0.4",
+                 "-o", str(tmp_path)]) == 1
+    assert "mode 1 vanishes" in capsys.readouterr().err

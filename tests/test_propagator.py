@@ -320,7 +320,7 @@ class TestEndpointDifferences:
         for row, e in zip(rows[1:], epsilons):
             want = prop.endpoint(psi0, u + v.scaled(e)).coefficients
             assert np.max(np.abs(rows[0] + row - want)) <= 1e-13
-        xi = prop.propagate_linearized(v, l, u_base=u, mode="discrete")
+        xi = prop.propagate_linearized(v, l, u_base=u)
         assert np.max(np.abs(rows[-1] - xi.coefficients)) <= 1e-14
 
     def test_differences_keep_their_digits_below_roundoff(self,
@@ -426,20 +426,12 @@ class TestPropagateLinearized:
         want = -1j * np.exp(-1j * lam * T) * prop.B[:, 0] * integral
         assert np.max(np.abs(xi.coefficients - want)) < 1e-12
 
-    def test_exact_phase_mode_requires_free_base(self, dirichlet_prop):
-        u = ControlSignal.constant(0.2, 1.0, 256)
-        v = ControlSignal.constant(1.0, 1.0, 256)
-        with pytest.raises(DomainError):
-            dirichlet_prop.propagate_linearized(v, 1, u_base=u,
-                                                mode="exact_phase")
-
     def test_discrete_mode_is_the_derivative_of_the_discrete_flow(
             self, dirichlet_prop):
         rng = np.random.default_rng(13)
         u = ControlSignal(0.7, 0.3 * rng.standard_normal(513))
         v = ControlSignal(0.7, rng.standard_normal(513))
-        xi = dirichlet_prop.propagate_linearized(v, 1, u_base=u,
-                                                 mode="discrete")
+        xi = dirichlet_prop.propagate_linearized(v, 1, u_base=u)
         psi0 = basis_state(DIRICHLET, 64, 1)
         eps = 1e-6
         plus = dirichlet_prop.propagate(psi0, u + v.scaled(eps),
@@ -466,8 +458,29 @@ class TestPropagateLinearized:
             xi = half * (E @ (half * xi)) + half * (
                 -1j * v_m * h * (prop.B @ (E @ (half * c))))
             c = half * (E @ (half * c))
-        got = prop.propagate_linearized(v, 0, u_base=u, mode="discrete")
+        got = prop.propagate_linearized(v, 0, u_base=u)
         assert np.max(np.abs(got.coefficients - xi)) < 1e-12
+
+
+class TestStateVector:
+    @pytest.mark.parametrize("size", [2, 20, 64])
+    def test_even_periodic_count_is_rejected(self, size):
+        # the periodic window -M..M holds 2M + 1 modes
+        with pytest.raises(DomainError):
+            StateVector(PERIODIC, np.arange(size))
+
+    @pytest.mark.parametrize("model, size", [
+        *[(m, n) for m in (DIRICHLET, NEUMANN, HARMONIC)
+          for n in (1, 2, 20, 21)],
+        *[(PERIODIC, n) for n in (1, 3, 21)]],
+        ids=lambda x: x.kind.value if isinstance(x, SpectralModel) else None)
+    def test_window_edges_hold_the_first_and_last_coefficient(self, model,
+                                                              size):
+        psi = StateVector(model, np.arange(size) + 1j)
+        ks = index_window(model, size)
+        assert np.array_equal(psi.indices, ks)
+        assert psi.coefficient(int(ks[0])) == 1j
+        assert psi.coefficient(int(ks[-1])) == size - 1 + 1j
 
 
 class TestSobolevNorms:
