@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DomainError, IllConditionedError
+from .integrals import _exp_integral
 from .propagator import DEFAULT_STEPS, ControlSignal, moments
 
 # Two frequencies closer than this are treated as colliding.
@@ -80,13 +81,7 @@ def symmetrize(problem: MomentProblem) -> MomentProblem:
 
 def _gram(freqs: np.ndarray, T: float) -> np.ndarray:
     """G[m][j] = integral_0^T e^{i(mu_m - mu_j)s} ds (Hermitian PD)."""
-    diff = freqs[:, None] - freqs[None, :]
-    G = np.empty(diff.shape, dtype=complex)
-    off = np.abs(diff) > 0
-    G[~off] = T
-    d = diff[off]
-    G[off] = (np.exp(1j * d * T) - 1.0) / (1j * d)
-    return G
+    return _exp_integral(np.subtract.outer(freqs, freqs), T)
 
 
 def _cholesky_solve(G: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -157,13 +152,15 @@ def solve(problem: MomentProblem, condition_cap: float = 1e12,
     y = np.asarray(sym.targets)
     G = _gram(freqs, sym.horizon)
     eig = np.linalg.eigvalsh(G)
-    condition = float(eig[-1] / max(eig[0], np.finfo(float).tiny))
+    # a Gram matrix rounded to a non-positive eigenvalue is singular
+    condition = float(eig[-1] / eig[0]) if eig[0] > 0.0 else np.inf
     if condition > condition_cap:
         if not tikhonov:
             raise IllConditionedError(
-                f"Gram condition {condition:.3e} above cap "
-                f"{condition_cap:.1e}; enlarge T, drop modes, or opt in to "
-                "Tikhonov regularization", condition=condition)
+                f"Gram condition {condition:.3e} (smallest eigenvalue "
+                f"{eig[0]:.3e}) above cap {condition_cap:.1e}; enlarge T, "
+                "drop modes, or opt in to Tikhonov regularization",
+                condition=condition)
         if alpha is None:
             alpha = 1e-10 * float(np.trace(G).real)
         c = _cholesky_solve(G + alpha * np.eye(len(G)), y)
@@ -178,42 +175,23 @@ def solve(problem: MomentProblem, condition_cap: float = 1e12,
                           residuals=G @ c - y, gram_condition=condition)
 
 
-def bessel_diagnostic(frequencies, T: float, trials: int,
-                      seed: int = 0, band_factor: float = 1.5,
-                      n_terms: int = 8) -> float:
-    """Empirical lower estimate of the constant C(T) in
-    ||moments(u)||_2 <= C ||u||_{L^2(0,T)}.
+def bessel_diagnostic(frequencies, T: float) -> float:
+    """The least constant C(T) with ||moments(u)||_2 <= C ||u||_{L^2(0,T)}
+    for every real u: the Bessel (upper frame) constant of the family.
 
-    Maximizes the ratio over random band-limited trial signals; a Monte
-    Carlo maximum is a lower estimate, never an upper certificate.
+    For real u, ||moments(u)||^2 = sum_k <u, cos w_k s>^2 + <u, sin w_k s>^2,
+    so C is sqrt(lambda_max) of the 2K x 2K real Gram matrix of
+    {cos w_k s, sin w_k s} on [0, T], whose blocks are halves of the real
+    and imaginary parts of E_T(w_j - w_k) +- E_T(w_j + w_k).
     """
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
     if freqs.size > 1:
         gaps = np.diff(np.sort(freqs))
         if gaps.min() <= 0:
             raise DegeneracyError("frequency gaps must be positive")
-    band = band_factor * max(1.0, float(np.max(np.abs(freqs))))
-    rng = np.random.default_rng(seed)
-    best = 0.0
-
-    def try_terms(terms):
-        nonlocal best
-        u = ControlSignal.from_terms(terms, T, 2048)
-        denom = u.l2_norm()
-        if denom > 1e-14:
-            best = max(best,
-                       float(np.linalg.norm(moments(u, freqs))) / denom)
-
-    # deterministic candidates: a resonant cosine/sine at each frequency
-    for w in freqs:
-        try_terms(((w, 0.5), (-w, 0.5)))
-        try_terms(((w, -0.5j), (-w, 0.5j)))
-    for _ in range(trials):
-        thetas = rng.uniform(0.0, band, size=n_terms)
-        amps = rng.standard_normal(n_terms) + 1j * rng.standard_normal(n_terms)
-        terms = []
-        for th, a in zip(thetas, amps):
-            terms.append((th, 0.5 * a))
-            terms.append((-th, 0.5 * np.conj(a)))
-        try_terms(terms)
-    return best
+    minus = _gram(freqs, T)
+    plus = _exp_integral(np.add.outer(freqs, freqs), T)
+    cos_sin = (plus - minus).imag
+    G = 0.5 * np.block([[(minus + plus).real, cos_sin],
+                        [cos_sin.T, (minus - plus).real]])
+    return float(np.sqrt(np.linalg.eigvalsh(G)[-1]))

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ModelError, NumericError
-from .integrals import poly_exp_integral
+from .integrals import _exp_integral, poly_exp_integral
 from .potentials import PiecewisePotential, _coupling_block
 from .spectral import (ModelKind, SpectralModel, eigenvalue,
                        hermite_function_values, index_window)
@@ -257,7 +257,9 @@ def _real_signal(vals: np.ndarray) -> np.ndarray:
 def moments(u: ControlSignal, frequencies) -> np.ndarray:
     """integral_0^T u(s) e^{i omega s} ds for each omega.
 
-    Exact for parametric controls.  Sampled controls use a Filon-type rule:
+    Exact for parametric controls sum_j a_j e^{i f_j t}: one product
+    E_T(omega_i + f_j) @ a of the exponential integral E_T(w) =
+    integral_0^T e^{i w s} ds.  Sampled controls use a Filon-type rule:
     the polynomial through the samples of each panel of _PANEL steps (the
     last panel possibly shorter) is integrated in closed form, exact phase
     included.  Full panels are congruent, so with step h the rule is
@@ -270,10 +272,9 @@ def moments(u: ControlSignal, frequencies) -> np.ndarray:
     """
     omegas = np.atleast_1d(np.asarray(frequencies, dtype=float))
     if u.parametric is not None:
-        out = np.zeros(omegas.shape, dtype=complex)
-        for f, a in u.parametric:
-            out += a * poly_exp_integral((1.0,), 0.0, u.horizon, omegas + f)
-        return out
+        f = np.asarray([f for f, _ in u.parametric], dtype=float)
+        a = np.asarray([a for _, a in u.parametric], dtype=complex)
+        return _exp_integral(np.add.outer(omegas, f), u.horizon) @ a
     h = u.step
     full, rest = divmod(u.n_steps, _PANEL)
     out = np.zeros(omegas.shape, dtype=complex)

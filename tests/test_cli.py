@@ -16,6 +16,7 @@ from bilinctrl import (ControlSignal, ExperimentConfig, MomentProblem,
                        indicator, load_config, moments, neumann_example,
                        neumann_obstruction_scan, solve)
 from bilinctrl.cli import _CSV_BLOCK, main, read_csv, read_json, write_csv
+from bilinctrl.errors import IllConditionedError
 
 FAST = {
     "spectrum": ["--N", "8"],
@@ -118,6 +119,20 @@ def test_moments_solve_harmonic_horizon_row(tmp_path):
     assert doc["control_l2_norm"] == pytest.approx(5.155752676739135,
                                                    rel=1e-12)
     assert doc["moment_misfit"] < 1e-13
+
+
+def test_singular_gram_condition_reads_inf(tmp_path, capsys):
+    # on [0, 0.01] the Gram matrix of the default family rounds to a
+    # negative smallest eigenvalue: singular, so the condition is inf
+    assert _run(["moments-solve", "--T", "0.01", "-o", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Gram condition inf (smallest eigenvalue -" in err
+    cfg = ExperimentConfig()
+    freqs, targets = _transition_family(cfg.spectral_model(), cfg.model.l,
+                                        cfg.numerics.K, cfg.task.seed)
+    with pytest.raises(IllConditionedError) as exc:
+        solve(MomentProblem(0.01, freqs, targets))
+    assert exc.value.condition == math.inf
 
 
 def test_rerun_is_byte_identical(tmp_path):

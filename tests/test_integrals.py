@@ -1,5 +1,6 @@
 """Oscillatory-integral primitives against scipy quadrature oracles."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bilinctrl.errors import QuadratureError
-from bilinctrl.integrals import adaptive_integral, poly_exp_integral
+from bilinctrl.integrals import (_exp_integral, adaptive_integral,
+                                 poly_exp_integral)
 
 
 def _quad_oracle(coeffs, a, b, omega):
@@ -71,6 +73,54 @@ def test_property_matches_scipy(coeffs, width, a, omega):
     want = _quad_oracle(coeffs, a, a + width, omega)
     scale = max(1.0, abs(want))
     assert abs(got - want) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("degree", [0, 4, 8])
+def test_monomials_match_mpmath_on_both_sides_of_the_switch(degree):
+    # [DERIVED] integral_{-4}^{4} s^n e^{i omega s} ds, the panel-weight
+    # integral, against 40-digit mpmath quadrature for |omega| * 4 from 0.1
+    # to 16; the Taylor / recurrence switch sits at 1 + degree / 2
+    switch = 1.0 + 0.5 * degree
+    xs = np.concatenate([np.linspace(0.1, 16.0, 33),
+                         switch * (1.0 + np.array([-1e-12, 0.0, 1e-12]))])
+    omegas = np.where(np.arange(xs.size) % 2, -1.0, 1.0) * xs / 4.0
+    got = poly_exp_integral((0.0,) * degree + (1.0,), -4.0, 4.0, omegas)
+    with mpmath.workdps(40):
+        for g, w in zip(got, omegas):
+            want = complex(mpmath.quad(
+                lambda s: s**degree * mpmath.expj(w * s), [-4, 4]))
+            assert abs(g - want) <= 1e-13 * abs(want)
+
+
+def _mp_exp_integral(omega, T):
+    """[DERIVED] (e^{i omega T} - 1) / (i omega) in 40-digit arithmetic."""
+    if omega == 0.0:
+        return complex(T)
+    with mpmath.workdps(40):
+        w = mpmath.mpf(omega)
+        return complex(mpmath.expm1(1j * w * T) / (1j * w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(T=st.floats(1e-3, 10.0),
+       omega_T=st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6),
+                         st.floats(-1e3, 1e3)))
+def test_exp_integral_matches_mpmath(T, omega_T):
+    omega = omega_T / T
+    got = _exp_integral(omega, T)
+    want = _mp_exp_integral(omega, T)
+    # |E| <= T; the error stays below 2 eps T at every omega T, inside the
+    # floor c eps (1 + |omega| T) T that rounding omega T sets, c = 4
+    bound = 4.0 * np.finfo(float).eps * (1.0 + abs(omega) * T) * T
+    assert abs(got - want) <= bound
+
+
+def test_exp_integral_keeps_the_shape_and_the_zero_frequency():
+    omegas = np.array([[0.0, -0.0], [1e-300, -2.5]])
+    got = _exp_integral(omegas, 1.5)
+    assert got.shape == (2, 2)
+    assert got[0, 0] == got[0, 1] == 1.5
+    assert got[1, 1] == np.conj(_exp_integral(2.5, 1.5))
 
 
 def test_adaptive_integral_converges_on_smooth_integrand():
