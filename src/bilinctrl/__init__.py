@@ -25,10 +25,10 @@ from .potentials import (BoundWeight, CoefficientMethod, CoefficientTable,
 from .propagator import (ControlSignal, Propagator, SobolevNorm, StateVector,
                          Trajectory, basis_state, coupling_matrix,
                          default_h1_norm, sobolev_norm, sobolev_weights)
-from .spectral import (GapReport, IndexSet, ModelKind, ResonanceReport,
-                       SpectralModel, check_resonance, eigenfunction_value,
-                       eigenvalue, gap_analysis, hermite_function_values,
-                       index_window, transition_frequencies)
+from .spectral import (GapReport, ModelKind, ResonanceReport, SpectralModel,
+                       check_resonance, eigenfunction_value, eigenvalue,
+                       gap_analysis, hermite_function_values, index_window,
+                       transition_frequencies, window_position)
 from .steering import (SteeringProblem, SteeringReport,
                        endpoint_derivative_check, eigensolution,
                        linearized_control, perturbed_target, project_tangent,

@@ -16,7 +16,8 @@ from .errors import BilinearControlError, ConfigError
 from .moments import MomentProblem, moments, solve
 from .potentials import (BoundWeight, coefficient_table,
                          harmonic_coefficient_identity,
-                         neumann_obstruction_scan, verify_lower_bound)
+                         neumann_obstruction_scan, verify_lower_bound,
+                         weighted_moduli)
 from .propagator import (ControlSignal, Propagator, basis_state,
                          default_h1_norm, sobolev_weights)
 from .spectral import (ModelKind, SpectralModel, check_resonance,
@@ -33,6 +34,9 @@ _DEFAULT_WEIGHTS = {
     ModelKind.NEUMANN: BoundWeight.INVERSE_K_PLUS_1,
     ModelKind.HARMONIC: BoundWeight.INVERSE_SQRT_LAMBDA,
 }
+
+# weighted coefficients below this count as exact zeros in obstruction-scan
+_ZERO = 1e-12
 
 # rows of a CSV artifact formatted and written per block
 _CSV_BLOCK = 4096
@@ -132,14 +136,11 @@ def _band_limited(rng, T: float, n_steps: int, n_terms: int = 4,
     return ControlSignal.from_terms(terms, T, n_steps)
 
 
-def _coefficient_rows(cfg: ExperimentConfig):
+def _weighted_table(cfg: ExperimentConfig):
     model = cfg.spectral_model()
     mu = cfg.piecewise_potential()
     table = coefficient_table(mu, model, cfg.model.l, cfg.numerics.K)
-    weight = _weight_from_config(cfg, model)
-    rows = [(k, v.real, v.imag, abs(v), abs(v) * weight.multiplier(k))
-            for k, v in zip(table.indices, table.values)]
-    return table, weight, rows
+    return table, _weight_from_config(cfg, model)
 
 
 def _cmd_spectrum(cfg, out):
@@ -175,15 +176,17 @@ def _cmd_resonance(cfg, out):
 
 
 def _cmd_coeffs(cfg, out):
-    _, _, rows = _coefficient_rows(cfg)
+    table, weight = _weighted_table(cfg)
     path = os.path.join(out, "coefficients.csv")
-    write_csv(path, "k,re,im,abs,weighted_abs", zip(*rows), cfg.hash())
-    print(f"wrote {path} ({len(rows)} coefficients)")
+    write_csv(path, "k,re,im,abs,weighted_abs",
+              (table.indices, table.values.real, table.values.imag,
+               *weighted_moduli(table, weight)), cfg.hash())
+    print(f"wrote {path} ({table.indices.size} coefficients)")
     return 0
 
 
 def _cmd_bound_check(cfg, out):
-    table, weight, _ = _coefficient_rows(cfg)
+    table, weight = _weighted_table(cfg)
     report = verify_lower_bound(table, weight,
                                 threshold=cfg.numerics.bound_threshold)
     path = os.path.join(out, "bound_check.json")
@@ -206,10 +209,13 @@ def _cmd_obstruction_scan(cfg, out):
               cfg.hash())
     print(f"initial level {report.initial_level:.6g}, running minimum "
           f"{report.final_min:.6g} after K={cfg.numerics.K}")
-    if report.initial_level > 0.0:
+    if report.initial_level < _ZERO:
+        print(f"k = 1 is an exact zero (below {_ZERO:g}), so no ratio to "
+              "the initial level")
+    else:
         print(f"running minimum / initial level "
               f"{report.final_min / report.initial_level:.3e}")
-    zeros = report.weighted < 1e-12
+    zeros = report.weighted < _ZERO
     n_zeros = np.count_nonzero(zeros)
     if n_zeros:
         print(f"{n_zeros} exact zeros, first few: "

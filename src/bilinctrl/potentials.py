@@ -14,14 +14,14 @@ import functools
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .integrals import adaptive_integral, poly_exp_integral
 from .spectral import (ModelKind, SpectralModel, eigenfunction_value,
-                       hermite_function_values, index_window)
+                       hermite_function_values, index_window, window_position)
 
 
 class PotentialDomain(enum.Enum):
@@ -270,17 +270,19 @@ def _check_domain(mu: PiecewisePotential, model: SpectralModel) -> None:
             f"{model.kind.value} model")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientTable:
-    """Coefficients <mu phi_l, phi_k> over a contiguous index window."""
+    """Coefficients <mu phi_l, phi_k> (values) at the indices k of a
+    contiguous index window, as read-only arrays."""
 
     l: int
-    indices: tuple
-    values: tuple
-    model: SpectralModel = field(compare=False, default=None)
+    indices: np.ndarray
+    values: np.ndarray
+    model: SpectralModel
 
     def value(self, k: int) -> complex:
-        return self.values[self.indices.index(k)]
+        return complex(self.values[window_position(self.model,
+                                                   self.indices.size, k)])
 
 
 @functools.lru_cache(maxsize=128)
@@ -289,14 +291,14 @@ def coefficient_table(mu: PiecewisePotential, model: SpectralModel, l: int,
     """Coefficient table over the model's standard index window.
 
     Cached: the propagator and steering loops reuse tables heavily, and the
-    inputs are immutable value objects.
+    inputs are immutable value objects.  The cache shares each table, so its
+    arrays are read-only.
     """
     model.check_index(l)
     ks = index_window(model, size)
     vals = _coupling_block(mu, model, ks, [l])[:, 0]
-    return CoefficientTable(l=l, indices=tuple(int(k) for k in ks),
-                            values=tuple(complex(v) for v in vals),
-                            model=model)
+    ks.flags.writeable = vals.flags.writeable = False
+    return CoefficientTable(l=l, indices=ks, values=vals, model=model)
 
 
 class BoundWeight(enum.Enum):
@@ -307,12 +309,20 @@ class BoundWeight(enum.Enum):
     INVERSE_K_PLUS_1 = "inverse_k_plus_1"
     INVERSE_SQRT_LAMBDA = "inverse_sqrt_lambda"
 
-    def multiplier(self, k: int) -> float:
+    def multiplier(self, k):
+        """The multiplier at index k (k may be an array)."""
         if self is BoundWeight.INVERSE_K:
-            return float(abs(k))
+            return np.abs(k).astype(float)
         if self is BoundWeight.INVERSE_K_PLUS_1:
-            return float(abs(k) + 1)
-        return float(np.sqrt(2.0 * k + 1.0))
+            return (np.abs(k) + 1).astype(float)
+        return np.sqrt(2.0 * k + 1.0)
+
+
+def weighted_moduli(table: CoefficientTable, weight: BoundWeight):
+    """|b_k| and |b_k| weight.multiplier(k) over the table.  np.hypot of the
+    parts is Python's abs(complex) bit for bit; np.abs is not."""
+    modulus = np.hypot(table.values.real, table.values.imag)
+    return modulus, modulus * weight.multiplier(table.indices)
 
 
 @dataclass(frozen=True)
@@ -328,14 +338,13 @@ def verify_lower_bound(table: CoefficientTable, weight: BoundWeight,
                        threshold: float = 1e-12) -> LowerBoundReport:
     """Smallest weighted coefficient over the table; passes when it stays
     above the threshold separating analytic zeros from roundoff."""
-    if not table.indices:
+    if not table.indices.size:
         raise DomainError("empty coefficient table")
-    constants = [abs(v) * weight.multiplier(k)
-                 for k, v in zip(table.indices, table.values)]
+    _, constants = weighted_moduli(table, weight)
     i = int(np.argmin(constants))
     worst = float(constants[i])
     return LowerBoundReport(passed=worst > threshold, worst_constant=worst,
-                            argmin_index=table.indices[i], weight=weight,
+                            argmin_index=int(table.indices[i]), weight=weight,
                             threshold=threshold)
 
 

@@ -46,7 +46,7 @@ from .errors import DomainError, ModelError, NumericError
 from .integrals import _exp_integral, poly_exp_integral
 from .potentials import PiecewisePotential, _coupling_block
 from .spectral import (ModelKind, SpectralModel, eigenvalue,
-                       hermite_function_values, index_window)
+                       hermite_function_values, index_window, window_position)
 
 DEFAULT_STEPS = 4096
 
@@ -84,10 +84,8 @@ class StateVector:
         return index_window(self.model, self.size)
 
     def coefficient(self, k: int) -> complex:
-        pos = np.nonzero(self.indices == k)[0]
-        if pos.size == 0:
-            raise DomainError(f"index {k} outside the truncation window")
-        return complex(self.coefficients[pos[0]])
+        return complex(self.coefficients[window_position(self.model, self.size,
+                                                         k)])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coefficients))
@@ -106,12 +104,9 @@ class StateVector:
 
 
 def basis_state(model: SpectralModel, N: int, k: int) -> StateVector:
-    window = index_window(model, N)
-    pos = np.nonzero(window == k)[0]
-    if pos.size == 0:
-        raise DomainError(f"index {k} outside the truncation window")
-    coeffs = np.zeros(window.size, dtype=complex)
-    coeffs[pos[0]] = 1.0
+    pos = window_position(model, N, k)
+    coeffs = np.zeros(index_window(model, N).size, dtype=complex)
+    coeffs[pos] = 1.0
     return StateVector(model, coeffs)
 
 
@@ -438,12 +433,6 @@ class Propagator:
     def endpoint(self, psi0: StateVector, u: ControlSignal) -> StateVector:
         return self.propagate(psi0, u, store_trajectory=False).final
 
-    def _source_column(self, l: int) -> np.ndarray:
-        pos = np.nonzero(self.indices == l)[0]
-        if pos.size == 0:
-            raise DomainError(f"mode {l} outside the truncation window")
-        return self.B[:, pos[0]]
-
     def propagate_linearized(self, v: ControlSignal, l: int,
                              u_base: ControlSignal | None = None
                              ) -> StateVector:
@@ -470,7 +459,7 @@ class Propagator:
                            self._endpoint_differences(psi0, u_base, v)[-1])
 
     def _linearized_free(self, v: ControlSignal, l: int) -> StateVector:
-        b = self._source_column(l)
+        b = self.B[:, window_position(self.model, self.N, l)]
         integral = moments(v, self.lam - eigenvalue(self.model, l))
         return StateVector(self.model, -1j * np.exp(-1j * self.lam * v.horizon)
                            * b * integral)
@@ -549,18 +538,17 @@ def sobolev_weights(model: SpectralModel, N: int, norm: SobolevNorm,
         return np.sqrt(2.0 * ks + 1.0)
     if a is None:
         raise DomainError("the half-line norm needs the breakpoint a")
-    kmax = int(ks.max())
-    phi = hermite_function_values(max(kmax - 1, 0), a)[:, 0]
+    excited = ks != 0
+    k = ks[excited]
+    phi = hermite_function_values(max(int(ks.max()) - 1, 0), a)[:, 0]
+    denom = np.abs(phi[k - 1])
+    small = np.flatnonzero(denom < 1e-14)
+    if small.size:
+        raise DomainError(
+            f"Hermite function {k[small[0]] - 1} vanishes at a={a}; the "
+            "half-line norm weight is undefined")
     weights = np.ones(ks.size)
-    for i, k in enumerate(ks):
-        if k == 0:
-            continue
-        denom = abs(phi[k - 1])
-        if denom < 1e-14:
-            raise DomainError(
-                f"Hermite function {k - 1} vanishes at a={a}; the half-line "
-                "norm weight is undefined")
-        weights[i] = np.sqrt(float(k)) / denom
+    weights[excited] = np.sqrt(k.astype(float)) / denom
     return weights
 
 

@@ -29,17 +29,12 @@ class ModelKind(enum.Enum):
     HARMONIC = "harmonic"
 
 
-class IndexSet(enum.Enum):
-    POSITIVE_INTEGERS = "positive_integers"
-    NONNEGATIVE_INTEGERS = "nonnegative_integers"
-    ALL_INTEGERS = "all_integers"
-
-
-_INDEX_SETS = {
-    ModelKind.DIRICHLET: IndexSet.POSITIVE_INTEGERS,
-    ModelKind.PERIODIC_MAGNETIC: IndexSet.ALL_INTEGERS,
-    ModelKind.NEUMANN: IndexSet.NONNEGATIVE_INTEGERS,
-    ModelKind.HARMONIC: IndexSet.NONNEGATIVE_INTEGERS,
+# lowest index of each model's index set; None for all of Z
+_LOWEST_INDEX = {
+    ModelKind.DIRICHLET: 1,
+    ModelKind.PERIODIC_MAGNETIC: None,
+    ModelKind.NEUMANN: 0,
+    ModelKind.HARMONIC: 0,
 }
 
 
@@ -55,21 +50,17 @@ class SpectralModel:
         if self.kind is not ModelKind.PERIODIC_MAGNETIC and self.drift != 0.0:
             raise DomainError("drift is only meaningful for the periodic model")
 
-    @property
-    def index_set(self) -> IndexSet:
-        return _INDEX_SETS[self.kind]
-
-    def contains_index(self, k: int) -> bool:
-        if self.index_set is IndexSet.POSITIVE_INTEGERS:
-            return k >= 1
-        if self.index_set is IndexSet.NONNEGATIVE_INTEGERS:
-            return k >= 0
-        return True
-
-    def check_index(self, k: int) -> None:
-        if not self.contains_index(int(k)):
-            raise DomainError(
-                f"index {k} outside the {self.kind.value} index set")
+    def check_index(self, k) -> None:
+        """Raise DomainError naming the first entry of k (a scalar or an
+        array) outside the model's index set."""
+        lowest = _LOWEST_INDEX[self.kind]
+        if lowest is None:
+            return
+        karr = np.ravel(k)
+        bad = np.flatnonzero(karr < lowest)
+        if bad.size:
+            raise DomainError(f"index {karr[bad[0]]} outside the "
+                              f"{self.kind.value} index set")
 
     @property
     def on_unit_interval(self) -> bool:
@@ -92,31 +83,42 @@ class SpectralModel:
         return SpectralModel(ModelKind.HARMONIC)
 
 
+def _window_bounds(model: SpectralModel, size: int) -> tuple:
+    if size < 1:
+        raise DomainError("window size must be positive")
+    lowest = _LOWEST_INDEX[model.kind]
+    if lowest is None:
+        return -(size // 2), size // 2
+    return lowest, lowest + size - 1
+
+
 def index_window(model: SpectralModel, size: int):
     """Contiguous index window of (at least) the requested size.
 
     For the periodic model the window is symmetric, -M..M with M = size // 2;
     the other models start at their lowest index.
     """
-    if size < 1:
-        raise DomainError("window size must be positive")
-    if model.index_set is IndexSet.ALL_INTEGERS:
-        m = size // 2
-        return np.arange(-m, m + 1)
-    if model.index_set is IndexSet.POSITIVE_INTEGERS:
-        return np.arange(1, size + 1)
-    return np.arange(0, size)
+    lo, hi = _window_bounds(model, size)
+    return np.arange(lo, hi + 1)
+
+
+def window_position(model: SpectralModel, size: int, k):
+    """Position k - window[0] of index k (a scalar or an array) in
+    index_window(model, size); raises DomainError naming the first entry of k
+    outside the window."""
+    lo, hi = _window_bounds(model, size)
+    karr = np.asarray(k)
+    outside = np.flatnonzero((karr < lo) | (karr > hi))
+    if outside.size:
+        raise DomainError(f"index {karr.ravel()[outside[0]]} outside the "
+                          "truncation window")
+    return karr - lo
 
 
 def eigenvalue(model: SpectralModel, k) -> float:
     """Closed-form eigenvalue at index k (k may be an array)."""
-    karr = np.asarray(k)
-    if np.ndim(k) == 0:
-        model.check_index(int(k))
-    else:
-        for kk in karr.ravel():
-            model.check_index(int(kk))
-    karr = karr.astype(float)
+    model.check_index(k)
+    karr = np.asarray(k, dtype=float)
     if model.kind is ModelKind.PERIODIC_MAGNETIC:
         out = 4.0 * np.pi**2 * karr**2 - 2.0 * np.pi * model.drift * karr
     elif model.kind is ModelKind.HARMONIC:
@@ -150,7 +152,7 @@ def hermite_function_values(kmax: int, x) -> np.ndarray:
 
 def eigenfunction_value(model: SpectralModel, k: int, x):
     """Eigenfunction phi_k evaluated at x (scalar or array)."""
-    model.check_index(int(k))
+    model.check_index(k)
     xarr = np.asarray(x, dtype=float)
     if model.on_unit_interval and (np.any(xarr < 0.0) or np.any(xarr > 1.0)):
         raise DomainError("x outside the unit interval")
@@ -212,7 +214,7 @@ _GAP_TOL = 1e-9
 def transition_frequencies(model: SpectralModel, l: int, K: int) -> np.ndarray:
     """Merged sorted sequence {0} u {+-(lambda_k - lambda_l)} over the window."""
     model.check_index(l)
-    ks = index_window(model, 2 * K + 1 if model.index_set is IndexSet.ALL_INTEGERS
+    ks = index_window(model, 2 * K + 1 if _LOWEST_INDEX[model.kind] is None
                       else K)
     ks = ks[ks != l]
     diffs = eigenvalue(model, ks) - eigenvalue(model, l)

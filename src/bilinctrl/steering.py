@@ -20,7 +20,8 @@ from .potentials import PiecewisePotential, coefficient_table
 from .propagator import (DEFAULT_STEPS, ControlSignal, Propagator,
                          SobolevNorm, StateVector, basis_state,
                          default_h1_norm, sobolev_norm)
-from .spectral import SpectralModel, eigenvalue, index_window
+from .spectral import (SpectralModel, eigenvalue, index_window,
+                       window_position)
 
 _COEFFICIENT_FLOOR = 1e-12
 
@@ -52,19 +53,16 @@ def linearized_control(target: StateVector, model: SpectralModel,
     over the first K modes; tail modes carry implicit zero targets."""
     model.check_index(l)
     table = coefficient_table(mu, model, l, K)
-    ks, b = np.asarray(table.indices), np.asarray(table.values)
+    ks, b = table.indices, table.values
     vanishing = np.flatnonzero(np.abs(b) < _COEFFICIENT_FLOOR)
     if vanishing.size:
         k = int(ks[vanishing[0]])
         raise ControllabilityDefectError(
             f"coupling coefficient at mode {k} vanishes; the moment "
             "target is undefined", index=k)
-    if ks[0] < target.indices[0] or ks[-1] > target.indices[-1]:
-        raise DomainError(f"modes {ks[0]}..{ks[-1]} outside the truncation "
-                          "window")
+    pos = window_position(model, target.size, ks)
     lam_k = eigenvalue(model, ks)
-    targets = (1j * np.exp(1j * lam_k * T)
-               * target.coefficients[ks - target.indices[0]] / b)
+    targets = 1j * np.exp(1j * lam_k * T) * target.coefficients[pos] / b
     if np.all(np.abs(targets) < 1e-15):
         return ControlSignal.zero(T, n_steps)
     problem = MomentProblem(T, tuple(lam_k - eigenvalue(model, l)),
@@ -124,75 +122,61 @@ class SteeringReport:
 
 
 def steer(problem: SteeringProblem, K: int, N: int | None = None,
-          n_steps: int = DEFAULT_STEPS,
-          norm: SobolevNorm | None = None) -> SteeringReport:
+          n_steps: int = DEFAULT_STEPS) -> SteeringReport:
     """Quasi-Newton steering from psi0 to psi1 (up to the tangent
     projection) at time T.
 
     Each iteration simulates the current control, projects the endpoint
     mismatch to the tangent space, and adds the linearized exact control for
-    that mismatch.  Residuals are measured in the model's H^1-type norm.
-    Raises NonConvergenceError (with the residual history) when the residual
-    grows twice in a row.
+    that mismatch; the loop stops after max_iters corrections.  Residuals
+    are measured in the model's H^1-type norm.  Raises NonConvergenceError
+    (with the residual history) when the residual grows twice in a row.
     """
     if N is None:
         N = K
     if K > N:
         raise DomainError("cannot control more modes than simulated")
     model = problem.model
-    if norm is None:
-        norm = default_h1_norm(model)
+    norm = default_h1_norm(model)
     prop = Propagator(model, problem.mu, N)
-    window_k = index_window(model, K)
+    controlled = window_position(model, N, index_window(model, K))
     u = ControlSignal.zero(problem.T, n_steps)
     history = []
-    for _ in range(problem.max_iters):
+    while True:
         psi_T = prop.endpoint(problem.psi0, u)
         r = project_tangent(problem.psi1 - psi_T, problem.l, problem.T)
         res = sobolev_norm(r, norm)
         history.append(res)
-        if res <= problem.tolerance:
+        if res <= problem.tolerance or len(history) > problem.max_iters:
             return SteeringReport(control=u, residuals=history,
-                                  converged=True, final_error=res, norm=norm)
+                                  converged=res <= problem.tolerance,
+                                  final_error=res, norm=norm)
         if len(history) >= 3 and history[-1] > history[-2] > history[-3]:
             raise NonConvergenceError(
                 "steering residual grew two iterations in a row",
                 history=history)
-        # K <= N: the first K modes sit inside r's contiguous window
-        r_window = StateVector(model, r.coefficients[window_k - r.indices[0]])
-        v = linearized_control(r_window, model, problem.mu, problem.l,
-                               problem.T, K, n_steps=n_steps)
-        u = u + v
-    psi_T = prop.endpoint(problem.psi0, u)
-    r = project_tangent(problem.psi1 - psi_T, problem.l, problem.T)
-    res = sobolev_norm(r, norm)
-    history.append(res)
-    return SteeringReport(control=u, residuals=history,
-                          converged=res <= problem.tolerance,
-                          final_error=res, norm=norm)
+        r_window = StateVector(model, r.coefficients[controlled])
+        u = u + linearized_control(r_window, model, problem.mu, problem.l,
+                                   problem.T, K, n_steps=n_steps)
 
 
 def perturbed_target(model: SpectralModel, N: int, l: int, T: float,
-                     delta: float, seed: int, K: int | None = None,
-                     norm: SobolevNorm | None = None) -> StateVector:
+                     delta: float, seed: int,
+                     K: int | None = None) -> StateVector:
     """Unit-norm target within delta (in the model's H^1-type norm) of the
     evolved eigenmode, with the perturbation in the tangent space and
-    supported on the first K modes."""
-    if norm is None:
-        norm = default_h1_norm(model)
-    if K is None:
-        K = N
+    supported on the first K modes (those of them inside the window of N).
+    Mode k draws re and im from the seed, in window order, and is scaled by
+    1 / (1 + |k|)^2."""
     rng = np.random.default_rng(seed)
-    window = index_window(model, N)
-    window_k = set(int(k) for k in index_window(model, K))
-    coeffs = np.zeros(window.size, dtype=complex)
-    for i, k in enumerate(window):
-        if int(k) in window_k:
-            decay = 1.0 / (1.0 + abs(int(k)))**2
-            coeffs[i] = decay * (rng.standard_normal()
-                                 + 1j * rng.standard_normal())
+    ks = index_window(model, N if K is None else min(K, N))
+    draws = rng.standard_normal((ks.size, 2))
+    coeffs = np.zeros(index_window(model, N).size, dtype=complex)
+    decay = 1.0 / (1.0 + np.abs(ks))**2
+    coeffs[window_position(model, N, ks)] = decay * (draws[:, 0]
+                                                     + 1j * draws[:, 1])
     raw = project_tangent(StateVector(model, coeffs), l, T)
-    scale = delta / (2.0 * sobolev_norm(raw, norm))
+    scale = delta / (2.0 * sobolev_norm(raw, default_h1_norm(model)))
     psi = eigensolution(model, N, l, T) + raw.scaled(scale)
     return psi.scaled(1.0 / psi.norm())
 

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilinctrl import (ControlSignal, ExperimentConfig, MomentProblem,
-                       Propagator, basis_state, eigenvalue, index_window,
-                       indicator, load_config, moments, neumann_example,
-                       neumann_obstruction_scan, solve)
+from bilinctrl import (BoundWeight, ControlSignal, ExperimentConfig,
+                       MomentProblem, Propagator, SpectralModel, basis_state,
+                       coefficient_table, eigenvalue, index_window, indicator,
+                       load_config, moments, neumann_example,
+                       neumann_obstruction_scan, periodic_example, solve)
 from bilinctrl.cli import _CSV_BLOCK, main, read_csv, read_json, write_csv
 from bilinctrl.errors import IllConditionedError
 
@@ -357,6 +358,40 @@ def test_obstruction_scan_rows_match_the_scan(tmp_path):
     assert [float(r[2]) for r in rows] == report.running_min.tolist()
 
 
+# the per-index multipliers, one Python float each
+_MULTIPLIERS = {
+    BoundWeight.INVERSE_K: lambda k: float(abs(k)),
+    BoundWeight.INVERSE_K_PLUS_1: lambda k: float(abs(k) + 1),
+    BoundWeight.INVERSE_SQRT_LAMBDA: lambda k: float(np.sqrt(2.0 * k + 1.0)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+@pytest.mark.parametrize("weight", list(BoundWeight), ids=lambda w: w.value)
+def test_weighted_coefficients_match_a_per_index_reference(weight, tmp_path):
+    # sqrt(2k + 1) is nan at negative periodic k, and so is the reference
+    K = 5000
+    args = ["--model", "periodic_magnetic", "--drift", "1", "--preset",
+            "periodic_example", "--l", "0", "--K", str(K), "--weight",
+            weight.value, "-o", str(tmp_path)]
+    assert _run(["coeffs", *args]) == 0
+    assert _run(["bound-check", *args]) == 0
+    table = coefficient_table(periodic_example(), SpectralModel.periodic(1.0),
+                              0, K)
+    multiplier = _MULTIPLIERS[weight]
+    ref = [(int(k), complex(v), abs(complex(v)),
+            abs(complex(v)) * multiplier(int(k)))
+           for k, v in zip(table.indices, table.values)]
+    _, _, rows = read_csv(str(tmp_path / "coefficients.csv"))
+    assert rows == [[str(k), repr(v.real), repr(v.imag), repr(a), repr(w)]
+                    for k, v, a, w in ref]
+    constants = [w for *_, w in ref]
+    i = int(np.argmin(constants))
+    doc = read_json(str(tmp_path / "bound_check.json"))
+    assert repr(doc["worst_constant"]) == repr(constants[i])
+    assert doc["argmin_index"] == ref[i][0]
+
+
 def _indicator_config(a, b):
     """The potential section of indicator(a, b) on the unit interval."""
     if a > 0.0:
@@ -381,9 +416,30 @@ def test_obstruction_scan_of_an_indicator(a, b, summary, tmp_path, capsys):
     assert [float(r[1]) for r in rows] == report.weighted.tolist()
     assert [float(r[2]) for r in rows] == report.running_min.tolist()
     out = capsys.readouterr().out
-    ratio = report.final_min / report.initial_level
-    assert f"running minimum / initial level {ratio:.3e}" in out
+    if a == 0.0:
+        ratio = report.final_min / report.initial_level
+        assert f"running minimum / initial level {ratio:.3e}" in out
+    else:
+        # k = 1 is an exact zero of the thirds indicator: no ratio to it
+        assert "k = 1 is an exact zero" in out
+        assert "running minimum / initial level" not in out
     assert summary in out
+
+
+def test_obstruction_scan_prints_no_ratio_to_an_exact_zero(tmp_path, capsys):
+    # the README example: k = 1 vanishes, so its level is roundoff
+    assert _run(["obstruction-scan", "--model", "neumann", "--preset",
+                 "neumann_example", "--K", "1000", "-o", str(tmp_path)]) == 0
+    report = neumann_obstruction_scan(neumann_example(), 1000)
+    assert 0.0 < report.initial_level < 1e-12
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == (f"initial level {report.initial_level:.6g}, running "
+                      f"minimum {report.final_min:.6g} after K=1000")
+    assert out[1] == ("k = 1 is an exact zero (below 1e-12), so no ratio to "
+                      "the initial level")
+    assert not any("running minimum /" in line for line in out)
+    _, _, rows = read_csv(str(tmp_path / "obstruction.csv"))
+    assert float(rows[0][1]) == report.initial_level
 
 
 # -- steering on each model ---------------------------------------------------

@@ -275,3 +275,19 @@ def test_coefficient_table_round_trips_and_caches():
     assert t1 is t2  # cached value objects
     assert t1.value(2) == pytest.approx(
         inner_product(dirichlet_example(), DIRICHLET, 1, 2))
+
+
+def test_cached_table_refuses_writes_and_keeps_its_values():
+    table = coefficient_table(periodic_example(), PERIODIC, 0, 41)
+    before = (table.indices.copy(), table.values.copy())
+    for arr, value in ((table.indices, 7), (table.values, 1.0 + 0j),
+                       (table.values.real, 0.5)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = value
+    again = coefficient_table(periodic_example(), PERIODIC, 0, 41)
+    assert again is table
+    assert np.array_equal(again.indices, before[0])
+    assert np.array_equal(again.values, before[1])
+    assert again.value(-20) == before[1][0]
+    with pytest.raises(DomainError, match="index 21 outside"):
+        again.value(21)

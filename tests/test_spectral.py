@@ -10,11 +10,13 @@ from bilinctrl.errors import DomainError
 from bilinctrl.spectral import (SpectralModel, check_resonance,
                                 eigenfunction_value, eigenvalue, gap_analysis,
                                 hermite_function_values, index_window,
-                                transition_frequencies)
+                                transition_frequencies, window_position)
 
 DIRICHLET = SpectralModel.dirichlet()
 NEUMANN = SpectralModel.neumann()
 HARMONIC = SpectralModel.harmonic()
+PERIODIC = SpectralModel.periodic(1.0)
+MODELS = [DIRICHLET, PERIODIC, NEUMANN, HARMONIC]
 
 
 class TestEigenvalues:
@@ -180,3 +182,44 @@ class TestIndexWindows:
 
     def test_nonnegative_window_starts_at_zero(self):
         assert list(index_window(HARMONIC, 3)) == [0, 1, 2]
+
+    @settings(max_examples=80, deadline=None)
+    @given(model=st.sampled_from(MODELS), N=st.integers(1, 200),
+           data=st.data())
+    def test_window_position_maps_every_window_index(self, model, N, data):
+        window = index_window(model, N)
+        # an even periodic size names the odd window one longer
+        assert window.size == N + (model is PERIODIC and N % 2 == 0)
+        assert np.array_equal(window_position(model, N, window),
+                              np.arange(window.size))
+        k = data.draw(st.sampled_from(window.tolist()))
+        assert window_position(model, N, k) == k - window[0]
+        # a smaller window (K = 1, K = N, or between) sits inside, in order
+        K = data.draw(st.one_of(st.just(1), st.just(N), st.integers(1, N)))
+        inner = index_window(model, K)
+        assert np.array_equal(window[window_position(model, N, inner)],
+                              inner)
+        model.check_index(window)
+
+    @settings(max_examples=80, deadline=None)
+    @given(model=st.sampled_from(MODELS), N=st.integers(1, 200),
+           data=st.data())
+    def test_indices_outside_raise_naming_the_first(self, model, N, data):
+        window = index_window(model, N)
+        outside = st.integers(-500, 500).filter(
+            lambda j: j < window[0] or j > window[-1])
+        bad = data.draw(st.lists(outside, min_size=1, max_size=4))
+        ks = np.concatenate((window[:3], bad, window[-3:]))
+        with pytest.raises(DomainError,
+                           match=rf"^index {bad[0]} outside the truncation"):
+            window_position(model, N, ks)
+        with pytest.raises(DomainError, match=rf"^index {bad[0]} outside"):
+            window_position(model, N, bad[0])
+        below = [j for j in bad if j < window[0]]
+        if model is PERIODIC or not below:
+            model.check_index(ks)  # all of Z, or only indices above
+        else:
+            with pytest.raises(DomainError,
+                               match=rf"^index {below[0]} outside the "
+                                     f"{model.kind.value} index set"):
+                model.check_index(ks)

@@ -14,7 +14,7 @@ from bilinctrl.potentials import (PiecewisePotential, coefficient_table,
                                   neumann_example, periodic_example)
 from bilinctrl.propagator import (ControlSignal, Propagator, SobolevNorm,
                                   StateVector, basis_state, sobolev_norm)
-from bilinctrl.spectral import SpectralModel, eigenvalue
+from bilinctrl.spectral import SpectralModel, eigenvalue, index_window
 from bilinctrl.steering import (SteeringProblem, eigensolution,
                                 endpoint_derivative_check, linearized_control,
                                 perturbed_target, project_tangent, steer)
@@ -257,6 +257,28 @@ class TestPerturbedTarget:
         a = perturbed_target(DIRICHLET, 16, 1, 0.4, delta=1e-2, seed=9)
         b = perturbed_target(DIRICHLET, 16, 1, 0.4, delta=1e-2, seed=9)
         assert (a - b).norm() == 0.0
+
+    @pytest.mark.parametrize("model,l,N,K", [
+        (DIRICHLET, 1, 24, 20), (DIRICHLET, 1, 16, 1),
+        (PERIODIC, 0, 25, 21), (PERIODIC, 0, 24, 10),
+    ])
+    def test_matches_a_per_mode_loop_bitwise(self, model, l, N, K):
+        rng = np.random.default_rng(17)
+        window = index_window(model, N)
+        window_k = set(int(k) for k in index_window(model, K))
+        coeffs = np.zeros(window.size, dtype=complex)
+        for i, k in enumerate(window):
+            if int(k) in window_k:
+                decay = 1.0 / (1.0 + abs(int(k)))**2
+                coeffs[i] = decay * (rng.standard_normal()
+                                     + 1j * rng.standard_normal())
+        raw = project_tangent(StateVector(model, coeffs), l, 0.4)
+        norm = SobolevNorm.H10 if model is DIRICHLET else SobolevNorm.H1P
+        psi = eigensolution(model, N, l, 0.4) + raw.scaled(
+            1e-2 / (2.0 * sobolev_norm(raw, norm)))
+        psi = psi.scaled(1.0 / psi.norm())
+        got = perturbed_target(model, N, l, 0.4, 1e-2, 17, K=K)
+        assert got.coefficients.tobytes() == psi.coefficients.tobytes()
 
 
 class TestEndpointDerivative:
