@@ -153,10 +153,12 @@ def load_config(doc: dict) -> ExperimentConfig:
 
 
 def load_config_file(path: str) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path}: invalid JSON at line "
-                              f"{exc.lineno}, column {exc.colno}: {exc.msg}")
+    except OSError as exc:
+        raise ConfigError(f"config {path}: {exc.strerror}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path}: invalid JSON at line "
+                          f"{exc.lineno}, column {exc.colno}: {exc.msg}")
     return load_config(doc)

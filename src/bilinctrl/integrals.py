@@ -1,6 +1,6 @@
 """Oscillatory integrals: the exponential integral E_T(omega), exact
-polynomial-times-exponential antiderivatives and adaptive Gauss-Legendre
-panel quadrature."""
+polynomial-times-exponential integrals, every degree and every polynomial
+from one pass, and adaptive Gauss-Legendre panel quadrature."""
 
 from __future__ import annotations
 
@@ -22,87 +22,104 @@ def _exp_integral(omega, T: float):
     return T * np.exp(1j * x) * np.sinc(x / np.pi)
 
 
-def _shift_poly(coeffs, m):
-    """Coefficients of p(m + s) in powers of s."""
-    out = [0.0j] * len(coeffs)
-    for n, c in enumerate(coeffs):
-        c = complex(c)
-        binom = 1.0
-        power = 1.0
-        for j in range(n, -1, -1):
-            out[j] += c * binom * power
-            binom = binom * j / (n - j + 1)
-            power *= m
+# frequencies per block: the Taylor power table and the temporaries of the
+# recurrence stay small however many frequencies a call brings
+_BLOCK = 4096
+
+
+def _shift_poly(q, m):
+    """Coefficients of p(m + s) in powers of s for each column p of q, by
+    Horner's rule in (s + m); q itself when m = 0, as on a centered panel."""
+    if m == 0:
+        return q
+    out = np.zeros_like(q)
+    for c in q[::-1]:
+        out[1:] = m * out[1:] + out[:-1]
+        out[0] = m * out[0] + c
     return out
 
 
-def _taylor_terms(q, h, w):
-    # integral of s^n e^{iws} over [-h, h]; odd total powers vanish.  The
-    # stop is relative: on short intervals all terms of s^n are tiny.
-    res = np.zeros(w.shape, dtype=complex)
-    for n, c in enumerate(q):
-        if c == 0:
-            continue
-        tm = np.full(w.shape, 1.0 + 0.0j)  # (i w h)^m / m!
-        acc = np.zeros(w.shape, dtype=complex)
-        for m in range(0, 80):
-            p = n + m
-            if p % 2 == 0:
-                contrib = tm * (2.0 * h ** (n + 1) / (p + 1))
-                acc += contrib
-                if np.all(np.abs(contrib) <= 1e-18 * np.abs(acc)):
-                    break
-            tm = tm * (1j * w * h) / (m + 1)
-        res += c * acc
-    return res
+def _centered_moments(q, h, w):
+    """sum_n q[n] J_n(w) for each column of q, with J_n(w) = integral_{-h}^{h}
+    s^n e^{i w s} ds, for all degrees n = 0..len(q) - 1 in one pass; the
+    identity q gives every J_n.  The result has one row per frequency.
 
-
-def _parts_terms(q, h, w):
-    iw = 1j * w
-    eph = np.exp(iw * h)
-    emh = np.exp(-iw * h)
-    res = np.zeros(w.shape, dtype=complex)
-    j_prev = (eph - emh) / iw
-    res += q[0] * j_prev
-    hp = 1.0
-    for n in range(1, len(q)):
-        hp *= h
-        sign = -1.0 if n % 2 else 1.0
-        j_cur = (hp * eph - sign * hp * emh) / iw - (n / iw) * j_prev
-        res += q[n] * j_cur
-        j_prev = j_cur
-    return res
+    The Taylor series J_n = h^{n+1} sum_m (i w h)^m / m! 2 / (n + m + 1)
+    (odd n + m vanish) cancels terms up to ~e^{|w h|}, and the recurrence
+    J_n = (h^n e^{iwh} - (-h)^n e^{-iwh} - n J_{n-1}) / (i w) amplifies
+    rounding by n / |w h| at each degree n above |w h|; switching at
+    |w h| = 1 + degree/2 keeps both within ~3e-14 of the w = 0 scale
+    2 h^{n+1} / (n + 1) through degree 12.
+    """
+    d = len(q) - 1
+    out = np.empty((w.size, q.shape[1]), dtype=complex)
+    small = np.abs(w) * h < 1.0 + 0.5 * d
+    if small.any():
+        x = h * w[small, None]
+        # terms while r^m / m! > 1e-18, r = max |w h|: the truncation stays
+        # below ~1e-18 of the w = 0 scale at every frequency of the set
+        r = float(np.max(np.abs(x)))
+        M, term = 1, r
+        while term > 1e-18:
+            M += 1
+            term *= r / M
+        # the series is one product: the powers (w h)^m / m! times the
+        # Hankel table, whose rows carry i^m and whose columns carry h^{n+1}
+        p = np.add.outer(np.arange(M), np.arange(d + 1))
+        hankel = np.where(p % 2 == 0, 2.0 / (p + 1), 0.0)
+        hankel = np.array([1, 1j, -1, -1j])[np.arange(M) % 4, None] * hankel
+        coef = hankel @ (h ** np.arange(1.0, d + 2.0)[:, None] * q)
+        powers = np.empty((x.size, M))
+        powers[:, :1] = 1.0
+        np.divide(x, np.arange(1.0, M), out=powers[:, 1:])
+        np.cumprod(powers, axis=1, out=powers)
+        # the real table times the (re, im) pairs of the complex
+        # coefficients, read back as complex
+        out[small] = (powers @ coef.view(float)).view(complex)
+    big = ~small
+    if big.any():
+        iw = 1j * w[big]
+        eph = np.exp(iw * h)
+        emh = np.exp(-iw * h)
+        j = (eph - emh) / iw
+        res = np.multiply.outer(j, q[0])
+        hp = 1.0
+        for n in range(1, d + 1):
+            hp *= h
+            sign = -1.0 if n % 2 else 1.0
+            j = (hp * eph - sign * hp * emh) / iw - (n / iw) * j
+            res += np.multiply.outer(j, q[n])
+        out[big] = res
+    return out
 
 
 def poly_exp_integral(coeffs, a, b, omega):
     """Exact integral of p(x)*exp(i*omega*x) over [a, b].
 
-    coeffs are ascending-degree polynomial coefficients; omega may be a
-    scalar or an array (result matches its shape).  Evaluation is shifted to
-    the interval midpoint and switches between a Taylor expansion and the
-    integration-by-parts recurrence at |omega|*(b-a)/2 = 1 + degree/2.
+    coeffs are ascending-degree polynomial coefficients, or a 2-D array
+    whose columns are polynomials; omega may be a scalar or an array.  The
+    result matches omega's shape, with one trailing column per polynomial
+    for 2-D coeffs.  The polynomials are shifted to the interval midpoint,
+    and one pass per block of frequencies gives every degree of every
+    polynomial: a Taylor series below |omega|*(b-a)/2 = 1 + degree/2 and
+    the integration-by-parts recurrence above.
     """
-    scalar = np.ndim(omega) == 0
-    w = np.atleast_1d(np.asarray(omega, dtype=float)).astype(float)
-    if b == a or not any(complex(c) != 0 for c in coeffs):
-        out = np.zeros(w.shape, dtype=complex)
-        return complex(out[0]) if scalar else out
-    m = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    q = _shift_poly(coeffs, m)
-    res = np.zeros(w.shape, dtype=complex)
-    # the Taylor sum cancels terms up to ~e^{|w h|}, and the recurrence
-    # amplifies rounding by n / |w h| at each degree n above |w h|; switching
-    # at 1 + degree/2 keeps both within ~3e-14 of the omega = 0 magnitude
-    # through degree 12
-    small = np.abs(w) * h < 1.0 + 0.5 * (len(q) - 1)
-    if small.any():
-        res[small] = _taylor_terms(q, h, w[small])
-    big = ~small
-    if big.any():
-        res[big] = _parts_terms(q, h, w[big])
-    res *= np.exp(1j * w * m)
-    return complex(res[0]) if scalar else res
+    q = np.asarray(coeffs, dtype=complex)
+    w = np.asarray(omega, dtype=float)
+    shape = w.shape + q.shape[1:]
+    q = q.reshape(len(q), -1)
+    out = np.zeros((w.size, q.shape[1]), dtype=complex)
+    if b != a and q.any():
+        m = 0.5 * (a + b)
+        h = 0.5 * (b - a)
+        q = _shift_poly(q, m)
+        w = w.ravel()
+        for lo in range(0, w.size, _BLOCK):
+            wb = w[lo:lo + _BLOCK]
+            out[lo:lo + _BLOCK] = (_centered_moments(q, h, wb)
+                                   * np.exp(1j * wb * m)[:, None])
+    out = out.reshape(shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 @functools.lru_cache(maxsize=None)

@@ -144,7 +144,6 @@ def _exponential_sum_control(freqs, coeffs, T, n_steps) -> ControlSignal:
 
 
 def solve(problem: MomentProblem, condition_cap: float = 1e12,
-          tikhonov: bool = False, alpha: float | None = None,
           n_steps: int = DEFAULT_STEPS) -> MomentSolution:
     """Least-norm real exponential-sum solution of the moment problem."""
     sym = symmetrize(problem)
@@ -155,17 +154,11 @@ def solve(problem: MomentProblem, condition_cap: float = 1e12,
     # a Gram matrix rounded to a non-positive eigenvalue is singular
     condition = float(eig[-1] / eig[0]) if eig[0] > 0.0 else np.inf
     if condition > condition_cap:
-        if not tikhonov:
-            raise IllConditionedError(
-                f"Gram condition {condition:.3e} (smallest eigenvalue "
-                f"{eig[0]:.3e}) above cap {condition_cap:.1e}; enlarge T, "
-                "drop modes, or opt in to Tikhonov regularization",
-                condition=condition)
-        if alpha is None:
-            alpha = 1e-10 * float(np.trace(G).real)
-        c = _cholesky_solve(G + alpha * np.eye(len(G)), y)
-    else:
-        c = _cholesky_solve(G, y)
+        raise IllConditionedError(
+            f"Gram condition {condition:.3e} (smallest eigenvalue "
+            f"{eig[0]:.3e}) above cap {condition_cap:.1e}; enlarge T or "
+            "drop modes", condition=condition)
+    c = _cholesky_solve(G, y)
     # roundoff in ill-conditioned solves breaks the exact conjugate pairing
     # c(-mu) = conj(c(mu)) that makes the signal real; the symmetrized
     # frequencies are sorted, so the reflection is a reversal

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
-import hashlib
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,15 +88,6 @@ class PiecewisePotential:
             if mask.any():
                 out[mask] = np.polynomial.polynomial.polyval(xarr[mask], p)
         return float(out[0]) if np.ndim(x) == 0 else out
-
-    def content_hash(self) -> str:
-        blob = struct.pack("<i", len(self.pieces)) + self.domain.value.encode()
-        for b in self.breakpoints:
-            blob += struct.pack("<d", b)
-        for p in self.pieces:
-            blob += struct.pack("<i", len(p)) + b"".join(
-                struct.pack("<d", c) for c in p)
-        return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def indicator(a: float, b: float,

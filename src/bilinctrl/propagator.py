@@ -197,12 +197,6 @@ class ControlSignal:
                              ((0.0, complex(value)),))
 
     @staticmethod
-    def from_function(f, horizon: float,
-                      n_steps: int = DEFAULT_STEPS) -> "ControlSignal":
-        t = np.linspace(0.0, horizon, n_steps + 1)
-        return ControlSignal(horizon, np.asarray(f(t), dtype=float))
-
-    @staticmethod
     def from_terms(terms, horizon: float,
                    n_steps: int = DEFAULT_STEPS) -> "ControlSignal":
         """Build from (frequency, amplitude) pairs; the sampled signal must
@@ -293,10 +287,7 @@ def _panel_weights(k: int, h: float, omegas: np.ndarray) -> np.ndarray:
     nodes = np.arange(k + 1) - 0.5 * k
     # lagrange[n, j] is the x^n coefficient of L_j
     lagrange = np.linalg.inv(np.vander(nodes, increasing=True))
-    monomials = np.stack(
-        [poly_exp_integral((0.0,) * n + (1.0,), nodes[0], nodes[-1],
-                           h * omegas) for n in range(k + 1)], axis=-1)
-    return h * (monomials @ lagrange)
+    return h * poly_exp_integral(lagrange, nodes[0], nodes[-1], h * omegas)
 
 
 def coupling_matrix(mu: PiecewisePotential, model: SpectralModel,

@@ -203,6 +203,13 @@ def test_malformed_json_is_rejected(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_missing_config_file_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert _run(["steer", "--config", str(path), "-o", str(tmp_path)]) == 1
+    assert (capsys.readouterr().err
+            == f"error: config {path}: No such file or directory\n")
+
+
 def test_invalid_model_error_exits_one(tmp_path, capsys):
     # Dirichlet has no mode 0
     assert _run(["spectrum", "--l", "0", "--N", "4", "--K", "4",

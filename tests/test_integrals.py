@@ -54,6 +54,18 @@ def test_vectorized_omega_matches_scalar_calls():
                                                          float(w)))
 
 
+def test_many_frequencies_match_short_calls():
+    # frequencies are taken in bounded blocks; 10000 of them on both sides
+    # of the switch, in a 2-D omega array, against calls on 100 at a time
+    coeffs = np.array([[0.5, 0.0], [1.0, 0.0], [-1.0, 2.0], [0.25, -1.0]])
+    omegas = np.linspace(-8.0, 8.0, 10000).reshape(100, 100)
+    got = poly_exp_integral(coeffs, 0.2, 1.0, omegas)
+    assert got.shape == (100, 100, 2)
+    for row, w in zip(got, omegas):
+        want = poly_exp_integral(coeffs, 0.2, 1.0, w)
+        assert np.max(np.abs(row - want)) <= 1e-14 * np.sum(np.abs(coeffs))
+
+
 def test_negated_frequency_conjugates_real_integrand():
     coeffs = (1.0, 0.3)
     got = poly_exp_integral(coeffs, 0.0, 2.0, -7.0)
@@ -90,6 +102,58 @@ def test_monomials_match_mpmath_on_both_sides_of_the_switch(degree):
             want = complex(mpmath.quad(
                 lambda s: s**degree * mpmath.expj(w * s), [-4, 4]))
             assert abs(g - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("h", [4.0, 4e-3])
+def test_every_degree_from_one_call_matches_mpmath(h):
+    # [DERIVED] J_n(omega) = integral_{-h}^{h} s^n e^{i omega s} ds for
+    # n = 0..12 from the identity coefficient matrix, against 40-digit
+    # mpmath quadrature; degree 12 switches branches at |omega| h = 7
+    xs = np.array([0.0, 0.3, 2.0, 5.5, 6.9, 7.0, 7.1, 9.0, 14.0])
+    omegas = np.where(np.arange(xs.size) % 2, -1.0, 1.0) * xs / h
+    got = poly_exp_integral(np.eye(13), -h, h, omegas)
+    assert got.shape == (xs.size, 13)
+    with mpmath.workdps(40):
+        for row, w in zip(got, omegas):
+            for n, g in enumerate(row):
+                want = complex(mpmath.quad(
+                    lambda s: s**n * mpmath.expj(w * s), [-h, 0, h]))
+                scale = 2.0 * h ** (n + 1) / (n + 1)
+                assert abs(g - want) <= 3e-14 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    degree=st.integers(0, 8),
+    columns=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    a=st.floats(-2.0, 2.0),
+    width=st.floats(1e-3, 3.0),
+    omega_h=st.one_of(st.just(0.0), st.floats(-12.0, 12.0)),
+    spread=st.floats(0.0, 3.0),
+)
+def test_columns_of_a_2d_call_match_1d_calls(degree, columns, seed, a,
+                                              width, omega_h, spread):
+    # one polynomial per column, the last one zero; a scalar omega and an
+    # array that straddles the Taylor / recurrence switch at
+    # |omega| h = 1 + degree / 2 (h = width / 2)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((degree + 1, columns))
+    coeffs[:, -1] = 0.0
+    b = a + width
+    omega = 2.0 * omega_h / width
+    omegas = omega + np.linspace(-spread, spread, 7) * 2.0 / width
+    reach = max(abs(a), abs(b))
+    for w in (omega, omegas):
+        got = poly_exp_integral(coeffs, a, b, w)
+        assert got.shape == np.shape(w) + (columns,)
+        for j in range(columns):
+            want = poly_exp_integral(coeffs[:, j], a, b, w)
+            # the omega = 0 scale of sum |c_n| |x|^n over [a, b]
+            scale = width * np.sum(np.abs(coeffs[:, j])
+                                   * reach ** np.arange(degree + 1))
+            assert np.all(np.abs(got[..., j] - want) <= 1e-14 * scale)
+    assert np.all(got[:, -1] == 0.0)
 
 
 def _mp_exp_integral(omega, T):

@@ -72,10 +72,6 @@ class TestPiecewisePotential:
             PiecewisePotential((0.0,), ((0.0, 1.0), (0.0,)),
                                PotentialDomain.REAL_LINE)
 
-    def test_content_hash_distinguishes_values(self):
-        assert (indicator(0.2, 0.4).content_hash()
-                != indicator(0.2, 0.5).content_hash())
-
 
 class TestInnerProduct:
     def test_zero_potential_gives_zero(self):

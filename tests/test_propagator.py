@@ -394,8 +394,7 @@ class TestPropagateLinearized:
         w = 11.0
         T = 1.0
         v_param = ControlSignal.from_terms(((w, 0.5), (-w, 0.5)), T, 8192)
-        v_sampled = ControlSignal.from_function(
-            lambda t: np.cos(w * t), T, 8192)
+        v_sampled = ControlSignal(T, np.cos(w * np.linspace(0.0, T, 8193)))
         a = dirichlet_prop.propagate_linearized(v_param, 1)
         b = dirichlet_prop.propagate_linearized(v_sampled, 1)
         assert (a - b).norm() < 1e-7
