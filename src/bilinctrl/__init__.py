@@ -24,7 +24,7 @@ from .potentials import (BoundWeight, CoefficientMethod, CoefficientTable,
                          verify_lower_bound, zero_potential)
 from .propagator import (ControlSignal, Propagator, SobolevNorm, StateVector,
                          Trajectory, basis_state, coupling_matrix,
-                         default_h1_norm, sobolev_norm, sobolev_weights)
+                         sobolev_norm, sobolev_weights)
 from .spectral import (GapReport, ModelKind, ResonanceReport, SpectralModel,
                        check_resonance, eigenfunction_value, eigenvalue,
                        gap_analysis, hermite_function_values, index_window,

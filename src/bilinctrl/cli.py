@@ -19,21 +19,16 @@ from .potentials import (BoundWeight, coefficient_table,
                          neumann_obstruction_scan, verify_lower_bound,
                          weighted_moduli)
 from .propagator import (ControlSignal, Propagator, basis_state,
-                         default_h1_norm, sobolev_weights)
-from .spectral import (ModelKind, SpectralModel, check_resonance,
-                       eigenvalue, gap_analysis, hermite_function_values,
-                       index_window)
+                         sobolev_weights)
+from .spectral import (ModelKind, check_resonance, eigenvalue, gap_analysis,
+                       hermite_function_values, index_window)
 from .steering import (SteeringProblem, endpoint_derivative_check,
                        perturbed_target, steer)
 
 OUTPUT_DIR_ENV = "BILINCTRL_OUT"
 
-_DEFAULT_WEIGHTS = {
-    ModelKind.DIRICHLET: BoundWeight.INVERSE_K,
-    ModelKind.PERIODIC_MAGNETIC: BoundWeight.INVERSE_K_PLUS_1,
-    ModelKind.NEUMANN: BoundWeight.INVERSE_K_PLUS_1,
-    ModelKind.HARMONIC: BoundWeight.INVERSE_SQRT_LAMBDA,
-}
+# the keys besides "type" that each control type of the task takes
+_CONTROL_KEYS = {"zero": (), "constant": ("value",), "terms": ("terms",)}
 
 # weighted coefficients below this count as exact zeros in obstruction-scan
 _ZERO = 1e-12
@@ -96,34 +91,18 @@ def _control_from_task(cfg: ExperimentConfig) -> ControlSignal:
     spec = dict(cfg.task.control)
     kind = spec.pop("type", "zero")
     T, n = cfg.task.T, cfg.numerics.n_steps
-    if kind == "zero":
-        extra = spec
-    elif kind == "constant":
-        value = spec.pop("value", 0.0)
-        extra = spec
-    elif kind == "terms":
-        terms = spec.pop("terms", ())
-        extra = spec
-    else:
+    if not isinstance(kind, str) or kind not in _CONTROL_KEYS:
         raise ConfigError(f"unknown control type {kind!r}")
+    extra = set(spec) - set(_CONTROL_KEYS[kind])
     if extra:
         raise ConfigError(f"unknown control key(s) {sorted(extra)}")
     if kind == "zero":
         return ControlSignal.zero(T, n)
     if kind == "constant":
-        return ControlSignal.constant(float(value), T, n)
-    return ControlSignal.from_terms(
-        [(float(f), complex(re, im)) for f, re, im in terms], T, n)
-
-
-def _weight_from_config(cfg: ExperimentConfig,
-                        model: SpectralModel) -> BoundWeight:
-    if cfg.task.weight is None:
-        return _DEFAULT_WEIGHTS[model.kind]
-    try:
-        return BoundWeight(cfg.task.weight)
-    except ValueError:
-        raise ConfigError(f"unknown bound weight {cfg.task.weight!r}")
+        return ControlSignal.constant(float(spec.get("value", 0.0)), T, n)
+    return ControlSignal.from_terms([(float(f), complex(re, im))
+                                     for f, re, im in spec.get("terms", ())],
+                                    T, n)
 
 
 def _band_limited(rng, T: float, n_steps: int, n_terms: int = 4,
@@ -137,10 +116,17 @@ def _band_limited(rng, T: float, n_steps: int, n_terms: int = 4,
 
 
 def _weighted_table(cfg: ExperimentConfig):
+    """The config's coefficient table and bound weight; the default weight
+    is the model's first."""
     model = cfg.spectral_model()
-    mu = cfg.piecewise_potential()
-    table = coefficient_table(mu, model, cfg.model.l, cfg.numerics.K)
-    return table, _weight_from_config(cfg, model)
+    table = coefficient_table(cfg.piecewise_potential(), model, cfg.model.l,
+                              cfg.numerics.K)
+    if cfg.task.weight is None:
+        return table, model.kind.laws.weights[0]
+    try:
+        return table, BoundWeight(cfg.task.weight)
+    except ValueError:
+        raise ConfigError(f"unknown bound weight {cfg.task.weight!r}")
 
 
 def _cmd_spectrum(cfg, out):
@@ -162,7 +148,8 @@ def _cmd_gaps(cfg, out):
 
 
 def _cmd_resonance(cfg, out):
-    report = check_resonance(cfg.model.l, cfg.numerics.K)
+    report = check_resonance(cfg.model.l, cfg.numerics.K,
+                             cfg.spectral_model())
     path = os.path.join(out, "resonance.json")
     write_json(path, {"ok": report.ok, "l": report.l, "window": report.window,
                       "violations": [list(v) for v in report.violations]},
@@ -238,7 +225,7 @@ def _cmd_simulate(cfg, out):
               (np.repeat(traj.times, nm), np.tile(ks, nt),
                traj.states.real.ravel(), traj.states.imag.ravel()),
               cfg.hash())
-    weights = sobolev_weights(model, cfg.numerics.N, default_h1_norm(model))
+    weights = sobolev_weights(model, cfg.numerics.N, model.kind.laws.h1_norm)
     # one norm per row: an axis=1 norm sums in another order
     l2 = [np.linalg.norm(c) for c in traj.states]
     h1 = [np.linalg.norm(weights * c) for c in traj.states]
@@ -361,7 +348,8 @@ _COMMANDS = {
 
 def _add_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON experiment configuration")
-    parser.add_argument("--model", choices=[m.value for m in ModelKind])
+    parser.add_argument("--model", dest="kind",
+                        choices=[m.value for m in ModelKind])
     parser.add_argument("--drift", type=float)
     parser.add_argument("--l", type=int)
     parser.add_argument("--N", type=int)
@@ -379,38 +367,23 @@ def _add_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output-dir", "-o")
 
 
+# the fields of each config section that the flag of the same name sets
+_OVERRIDES = {"model": ("kind", "drift", "l"),
+              "numerics": ("N", "K", "n_steps"),
+              "task": ("T", "delta", "seed", "kmax", "weight"),
+              "potential": ("preset", "a")}
+
+
 def _apply_overrides(cfg: ExperimentConfig,
                      args: argparse.Namespace) -> ExperimentConfig:
-    model = cfg.model
-    if args.model is not None:
-        model = dataclasses.replace(model, kind=args.model)
-    if args.drift is not None:
-        model = dataclasses.replace(model, drift=args.drift)
-    if args.l is not None:
-        model = dataclasses.replace(model, l=args.l)
-    numerics = cfg.numerics
-    for name, attr in (("N", "N"), ("K", "K"), ("n_steps", "n_steps")):
-        value = getattr(args, attr)
-        if value is not None:
-            numerics = dataclasses.replace(numerics, **{name: value})
-    task = cfg.task
-    for name in ("T", "delta", "seed", "kmax", "weight"):
-        value = getattr(args, name)
-        if value is not None:
-            task = dataclasses.replace(task, **{name: value})
-    potential = cfg.potential
-    if args.preset is not None:
-        potential = dataclasses.replace(potential, preset=args.preset)
-    if args.a is not None:
-        potential = dataclasses.replace(potential, a=args.a)
-    output_dir = cfg.output_dir
-    if os.environ.get(OUTPUT_DIR_ENV):
-        output_dir = os.environ[OUTPUT_DIR_ENV]
-    if args.output_dir is not None:
-        output_dir = args.output_dir
-    return ExperimentConfig(model=model, potential=potential,
-                            numerics=numerics, task=task,
-                            output_dir=output_dir)
+    sections = {}
+    for name, fields in _OVERRIDES.items():
+        given = {f: getattr(args, f) for f in fields
+                 if getattr(args, f) is not None}
+        sections[name] = dataclasses.replace(getattr(cfg, name), **given)
+    output_dir = (args.output_dir if args.output_dir is not None
+                  else os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
+    return ExperimentConfig(output_dir=output_dir, **sections)
 
 
 def main(argv=None) -> int:

@@ -89,7 +89,7 @@ class ExperimentConfig:
             kind = ModelKind(self.model.kind)
         except ValueError:
             raise ConfigError(f"unknown model kind {self.model.kind!r}")
-        drift = self.model.drift if kind is ModelKind.PERIODIC_MAGNETIC else 0.0
+        drift = self.model.drift if kind.laws.drift else 0.0
         return SpectralModel(kind, drift=drift)
 
     def piecewise_potential(self) -> PiecewisePotential:
@@ -158,6 +158,8 @@ def load_config_file(path: str) -> ExperimentConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"config {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path}: invalid JSON at line "
                           f"{exc.lineno}, column {exc.colno}: {exc.msg}")

@@ -18,9 +18,7 @@ import numpy as np
 from .errors import DegeneracyError, DomainError, IllConditionedError
 from .integrals import _exp_integral
 from .propagator import DEFAULT_STEPS, ControlSignal, moments
-
-# Two frequencies closer than this are treated as colliding.
-_FREQ_TOL = 1e-9
+from .spectral import _FREQ_TOL, opposite_pairs
 
 
 @dataclass(frozen=True)
@@ -40,10 +38,7 @@ class MomentProblem:
             raise DomainError("empty moment problem")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "targets", targets)
-        fs = np.asarray(freqs)
-        diffs = np.abs(fs[:, None] - fs[None, :])
-        np.fill_diagonal(diffs, np.inf)
-        if diffs.min() < _FREQ_TOL:
+        if np.any(np.diff(np.sort(freqs)) < _FREQ_TOL):
             raise DegeneracyError("repeated moment frequencies")
         for f, x in zip(freqs, targets):
             if abs(f) < _FREQ_TOL and abs(x.imag) > 1e-12 * max(1.0, abs(x)):
@@ -60,13 +55,12 @@ def symmetrize(problem: MomentProblem) -> MomentProblem:
     family degenerate and is reported as such.
     """
     fs = np.asarray(problem.frequencies)
-    collide = np.abs(fs[:, None] + fs[None, :]) < _FREQ_TOL
-    np.fill_diagonal(collide, False)
-    if collide.any():
-        j, k = np.argwhere(collide)[0]
+    i, j = opposite_pairs(fs, _FREQ_TOL)
+    off = np.flatnonzero(i != j)
+    if off.size:
         raise DegeneracyError(
-            f"frequencies {fs[j]:g} and {fs[k]:g} are opposite; the "
-            "symmetrized family is degenerate")
+            f"frequencies {fs[i[off[0]]]:g} and {fs[j[off[0]]]:g} are "
+            "opposite; the symmetrized family is degenerate")
     pairs = {}
     for f, x in zip(problem.frequencies, problem.targets):
         if abs(f) < _FREQ_TOL:

@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import DomainError
 from .integrals import adaptive_integral, poly_exp_integral
-from .spectral import (ModelKind, SpectralModel, eigenfunction_value,
-                       hermite_function_values, index_window, window_position)
+from .spectral import (BoundWeight, ModelKind, SpectralModel,
+                       eigenfunction_value, hermite_function_values,
+                       index_window, window_position)
 
 
 class PotentialDomain(enum.Enum):
@@ -208,7 +209,7 @@ def _coupling_block(mu: PiecewisePotential, model: SpectralModel, rows,
                 jump, cols, M)
         return B.astype(complex)
     n = int(np.abs(rows).max() + np.abs(cols).max())
-    s = 2.0 * np.pi if model.kind is ModelKind.PERIODIC_MAGNETIC else np.pi
+    s = model.kind.laws.fourier_scale
     c = sum(poly_exp_integral(p, a, b, s * np.arange(n + 1))
             for a, b, p in mu.intervals())
     c = np.concatenate((c[:0:-1].conj(), c))  # c_{-m} = conj(c_m), mu real
@@ -229,8 +230,7 @@ def inner_product(mu: PiecewisePotential, model: SpectralModel, l: int,
                   ) -> complex:
     """The spectral coefficient <mu phi_l, phi_k> =
     integral of mu(x) phi_l(x) conj(phi_k(x)); QUADRATURE is the oracle."""
-    model.check_index(l)
-    model.check_index(k)
+    model.check_index([l, k])
     if method is CoefficientMethod.QUADRATURE:
         _check_domain(mu, model)
         return complex(_quadrature_coefficient(mu, model, l, k))
@@ -250,10 +250,7 @@ def _quadrature_coefficient(mu, model, l, k):
 
 
 def _check_domain(mu: PiecewisePotential, model: SpectralModel) -> None:
-    want = (PotentialDomain.REAL_LINE if model.kind is ModelKind.HARMONIC
-            else PotentialDomain.UNIT_INTERVAL)
-    if (mu.domain is PotentialDomain.REAL_LINE) != (want is
-                                                    PotentialDomain.REAL_LINE):
+    if (mu.domain is PotentialDomain.REAL_LINE) != model.kind.laws.real_line:
         raise DomainError(
             f"potential domain {mu.domain.value} does not match the "
             f"{model.kind.value} model")
@@ -290,26 +287,16 @@ def coefficient_table(mu: PiecewisePotential, model: SpectralModel, l: int,
     return CoefficientTable(l=l, indices=ks, values=vals, model=model)
 
 
-class BoundWeight(enum.Enum):
-    """Multiplier turning |<mu phi_l, phi_k>| into a candidate constant C in
-    the lower bounds C/k, C/(|k|+1), C/sqrt(2k+1)."""
-
-    INVERSE_K = "inverse_k"
-    INVERSE_K_PLUS_1 = "inverse_k_plus_1"
-    INVERSE_SQRT_LAMBDA = "inverse_sqrt_lambda"
-
-    def multiplier(self, k):
-        """The multiplier at index k (k may be an array)."""
-        if self is BoundWeight.INVERSE_K:
-            return np.abs(k).astype(float)
-        if self is BoundWeight.INVERSE_K_PLUS_1:
-            return (np.abs(k) + 1).astype(float)
-        return np.sqrt(2.0 * k + 1.0)
-
-
 def weighted_moduli(table: CoefficientTable, weight: BoundWeight):
     """|b_k| and |b_k| weight.multiplier(k) over the table.  np.hypot of the
-    parts is Python's abs(complex) bit for bit; np.abs is not."""
+    parts is Python's abs(complex) bit for bit; np.abs is not.  Raises
+    DomainError for a weight the table's model does not accept."""
+    model = table.model
+    if weight not in model.kind.laws.weights:
+        raise DomainError(
+            f"bound weight {weight.value} is not finite and positive on "
+            f"every index of the {model.kind.value} model, which takes "
+            f"{', '.join(w.value for w in model.kind.laws.weights)}")
     modulus = np.hypot(table.values.real, table.values.imag)
     return modulus, modulus * weight.multiplier(table.indices)
 

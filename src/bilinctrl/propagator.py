@@ -36,7 +36,6 @@ and about 2 J sqrt(n) exps for J terms, accurate to the rounding of f t.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -45,7 +44,7 @@ import numpy as np
 from .errors import DomainError, ModelError, NumericError
 from .integrals import _exp_integral, poly_exp_integral
 from .potentials import PiecewisePotential, _coupling_block
-from .spectral import (ModelKind, SpectralModel, eigenvalue,
+from .spectral import (SobolevNorm, SpectralModel, eigenvalue,
                        hermite_function_values, index_window, window_position)
 
 DEFAULT_STEPS = 4096
@@ -503,17 +502,6 @@ def _strang_steps(WT: np.ndarray, phase_blocks, Z: np.ndarray,
     return Z
 
 
-class SobolevNorm(enum.Enum):
-    """Weighted little-l2 norms matching each model's H^1-type space."""
-
-    L2 = "l2"
-    H10 = "h10"
-    H1P = "h1p"
-    H1NEUMANN = "h1neumann"
-    H1H = "h1h"
-    HHA = "hha"
-
-
 def sobolev_weights(model: SpectralModel, N: int, norm: SobolevNorm,
                     a: float | None = None) -> np.ndarray:
     ks = index_window(model, N)
@@ -547,13 +535,3 @@ def sobolev_norm(psi: StateVector, norm: SobolevNorm,
                  a: float | None = None) -> float:
     weights = sobolev_weights(psi.model, psi.size, norm, a)
     return float(np.linalg.norm(weights * psi.coefficients))
-
-
-def default_h1_norm(model: SpectralModel) -> SobolevNorm:
-    """The H^1-type norm naturally attached to each model."""
-    return {
-        ModelKind.DIRICHLET: SobolevNorm.H10,
-        ModelKind.PERIODIC_MAGNETIC: SobolevNorm.H1P,
-        ModelKind.NEUMANN: SobolevNorm.H1NEUMANN,
-        ModelKind.HARMONIC: SobolevNorm.H1H,
-    }[model.kind]

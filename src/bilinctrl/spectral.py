@@ -1,7 +1,7 @@
 """Spectral models for the four boundary setups.
 
-Each model carries its eigenvalue law, its orthonormal eigenfunction family
-and the index convention used everywhere else in the package:
+Whatever differs between the models is one field of the model's row in the
+table _LAWS (ModelLaws), which every other module reads:
 
 * Dirichlet on (0,1):       k >= 1,  lambda_k = k^2 pi^2,  sqrt(2) sin(k pi x)
 * Periodic with drift u0:   k in Z,  lambda_k = 4 pi^2 k^2 - 2 pi u0 k,
@@ -28,32 +28,95 @@ class ModelKind(enum.Enum):
     NEUMANN = "neumann"
     HARMONIC = "harmonic"
 
+    @property
+    def laws(self) -> "ModelLaws":
+        return _LAWS[self]
 
-# lowest index of each model's index set; None for all of Z
-_LOWEST_INDEX = {
-    ModelKind.DIRICHLET: 1,
-    ModelKind.PERIODIC_MAGNETIC: None,
-    ModelKind.NEUMANN: 0,
-    ModelKind.HARMONIC: 0,
+
+class BoundWeight(enum.Enum):
+    """Multiplier turning |<mu phi_l, phi_k>| into a candidate constant C in
+    the lower bounds C/k, C/(|k|+1), C/sqrt(2k+1)."""
+
+    INVERSE_K = "inverse_k"
+    INVERSE_K_PLUS_1 = "inverse_k_plus_1"
+    INVERSE_SQRT_LAMBDA = "inverse_sqrt_lambda"
+
+    def multiplier(self, k):
+        """The multiplier at index k (k may be an array)."""
+        if self is BoundWeight.INVERSE_K:
+            return np.abs(k).astype(float)
+        if self is BoundWeight.INVERSE_K_PLUS_1:
+            return (np.abs(k) + 1).astype(float)
+        return np.sqrt(2.0 * k + 1.0)
+
+
+class SobolevNorm(enum.Enum):
+    """Weighted little-l2 norms matching each model's H^1-type space."""
+
+    L2 = "l2"
+    H10 = "h10"
+    H1P = "h1p"
+    H1NEUMANN = "h1neumann"
+    H1H = "h1h"
+    HHA = "hha"
+
+
+@dataclass(frozen=True)
+class ModelLaws:
+    """A row of _LAWS."""
+
+    lowest: int | None  # the lowest index; None for all of Z
+    drift: bool  # whether lambda_k depends on u0
+    real_line: bool  # the domain of mu: R, else the unit interval
+    eigenvalue: object  # lambda_k as (k, u0) -> array, k a float array
+    eigenfunction: object  # phi_k(x) as (k, x) -> array, k an int
+    fourier_scale: float | None  # s in the moments of mu e^{i m s x}
+    h1_norm: SobolevNorm
+    weights: tuple  # bound weights finite and > 0 on every k; default first
+
+
+_LAWS = {
+    ModelKind.DIRICHLET: ModelLaws(
+        1, False, False, lambda k, u0: k**2 * np.pi**2,
+        lambda k, x: np.sqrt(2.0) * np.sin(k * np.pi * x),
+        np.pi, SobolevNorm.H10,
+        (BoundWeight.INVERSE_K, BoundWeight.INVERSE_K_PLUS_1,
+         BoundWeight.INVERSE_SQRT_LAMBDA)),
+    ModelKind.PERIODIC_MAGNETIC: ModelLaws(
+        None, True, False,
+        lambda k, u0: 4.0 * np.pi**2 * k**2 - 2.0 * np.pi * u0 * k,
+        lambda k, x: np.exp(2j * k * np.pi * x),
+        2.0 * np.pi, SobolevNorm.H1P, (BoundWeight.INVERSE_K_PLUS_1,)),
+    ModelKind.NEUMANN: ModelLaws(
+        0, False, False, lambda k, u0: k**2 * np.pi**2,
+        lambda k, x: (np.ones_like(x) if k == 0
+                      else np.sqrt(2.0) * np.cos(k * np.pi * x)),
+        np.pi, SobolevNorm.H1NEUMANN,
+        (BoundWeight.INVERSE_K_PLUS_1, BoundWeight.INVERSE_SQRT_LAMBDA)),
+    ModelKind.HARMONIC: ModelLaws(
+        0, False, True, lambda k, u0: 2.0 * k + 1.0,
+        lambda k, x: hermite_function_values(k, x)[k].reshape(np.shape(x)),
+        None, SobolevNorm.H1H,
+        (BoundWeight.INVERSE_SQRT_LAMBDA, BoundWeight.INVERSE_K_PLUS_1)),
 }
 
 
 @dataclass(frozen=True)
 class SpectralModel:
     """One of the four boundary setups; drift is the momentum coupling u0
-    and is meaningful for the periodic model only."""
+    and is meaningful only where the model's laws take it."""
 
     kind: ModelKind
     drift: float = 0.0
 
     def __post_init__(self):
-        if self.kind is not ModelKind.PERIODIC_MAGNETIC and self.drift != 0.0:
-            raise DomainError("drift is only meaningful for the periodic model")
+        if not self.kind.laws.drift and self.drift != 0.0:
+            raise DomainError(f"the {self.kind.value} model takes no drift")
 
     def check_index(self, k) -> None:
         """Raise DomainError naming the first entry of k (a scalar or an
         array) outside the model's index set."""
-        lowest = _LOWEST_INDEX[self.kind]
+        lowest = self.kind.laws.lowest
         if lowest is None:
             return
         karr = np.ravel(k)
@@ -61,10 +124,6 @@ class SpectralModel:
         if bad.size:
             raise DomainError(f"index {karr[bad[0]]} outside the "
                               f"{self.kind.value} index set")
-
-    @property
-    def on_unit_interval(self) -> bool:
-        return self.kind is not ModelKind.HARMONIC
 
     @staticmethod
     def dirichlet() -> "SpectralModel":
@@ -86,7 +145,7 @@ class SpectralModel:
 def _window_bounds(model: SpectralModel, size: int) -> tuple:
     if size < 1:
         raise DomainError("window size must be positive")
-    lowest = _LOWEST_INDEX[model.kind]
+    lowest = model.kind.laws.lowest
     if lowest is None:
         return -(size // 2), size // 2
     return lowest, lowest + size - 1
@@ -118,13 +177,7 @@ def window_position(model: SpectralModel, size: int, k):
 def eigenvalue(model: SpectralModel, k) -> float:
     """Closed-form eigenvalue at index k (k may be an array)."""
     model.check_index(k)
-    karr = np.asarray(k, dtype=float)
-    if model.kind is ModelKind.PERIODIC_MAGNETIC:
-        out = 4.0 * np.pi**2 * karr**2 - 2.0 * np.pi * model.drift * karr
-    elif model.kind is ModelKind.HARMONIC:
-        out = 2.0 * karr + 1.0
-    else:
-        out = karr**2 * np.pi**2
+    out = model.kind.laws.eigenvalue(np.asarray(k, dtype=float), model.drift)
     return float(out) if np.ndim(k) == 0 else out
 
 
@@ -154,18 +207,9 @@ def eigenfunction_value(model: SpectralModel, k: int, x):
     """Eigenfunction phi_k evaluated at x (scalar or array)."""
     model.check_index(k)
     xarr = np.asarray(x, dtype=float)
-    if model.on_unit_interval and (np.any(xarr < 0.0) or np.any(xarr > 1.0)):
+    if not model.kind.laws.real_line and np.any((xarr < 0.0) | (xarr > 1.0)):
         raise DomainError("x outside the unit interval")
-    if model.kind is ModelKind.DIRICHLET:
-        out = np.sqrt(2.0) * np.sin(k * np.pi * xarr)
-    elif model.kind is ModelKind.PERIODIC_MAGNETIC:
-        out = np.exp(2j * k * np.pi * xarr)
-    elif model.kind is ModelKind.NEUMANN:
-        out = (np.ones_like(xarr) if k == 0
-               else np.sqrt(2.0) * np.cos(k * np.pi * xarr))
-    else:
-        out = hermite_function_values(k, xarr)[k]
-        out = out.reshape(xarr.shape) if xarr.ndim else out[0]
+    out = model.kind.laws.eigenfunction(k, xarr)
     return out if np.ndim(x) else complex(out) if np.iscomplexobj(out) else float(out)
 
 
@@ -177,24 +221,20 @@ class ResonanceReport:
     window: int
 
 
-def check_resonance(l: int, K: int) -> ResonanceReport:
-    """Check j^2 - l^2 != l^2 - k^2 for all j, k in {1..K} \\ {l}.
-
-    A pass over a finite window is necessary at scale, not a proof for all
-    indices.  Returns every violating pair found in the window.
-    """
-    if l < 1 or K < l:
-        raise DomainError("need l >= 1 and K >= l")
-    violations = []
-    squares = {j * j: j for j in range(1, K + 1) if j != l}
-    for k in range(1, K + 1):
-        if k == l:
-            continue
-        need = 2 * l * l - k * k
-        j = squares.get(need)
-        if j is not None:
-            violations.append((j, k))
-    return ResonanceReport(ok=not violations, violations=tuple(violations),
+def check_resonance(l: int, K: int,
+                    model: SpectralModel = SpectralModel.dirichlet()
+                    ) -> ResonanceReport:
+    """Every pair (j, k), j, k != l, of the window of transition_frequencies
+    with lambda_j + lambda_k = 2 lambda_l, a collision nu_j = -nu_k of
+    nu_k = lambda_k - lambda_l; sorted by k, then j.  The tolerance scales
+    with |lambda_l|, as the rounding of lambda_j does.  A pass over a finite
+    window is necessary at scale, not a proof for all indices."""
+    window_position(model, _transition_size(model, K), l)
+    ks, nu = _transition_modes(model, l, K)
+    tol = _FREQ_TOL * max(1.0, abs(eigenvalue(model, l)))
+    k, j = opposite_pairs(nu, tol)
+    violations = tuple(zip(ks[j].tolist(), ks[k].tolist()))
+    return ResonanceReport(ok=not violations, violations=violations,
                            l=l, window=K)
 
 
@@ -207,17 +247,43 @@ class GapReport:
     excluded: int
 
 
-# Absolute scale below which two transition frequencies count as colliding.
-_GAP_TOL = 1e-9
+# Absolute scale below which two frequencies count as colliding.
+_FREQ_TOL = 1e-9
+
+
+def opposite_pairs(nu, tol: float):
+    """Positions (i, j), i = j included, with |nu_i + nu_j| < tol, in
+    lexicographic order.  One sort and two searchsorted calls bracket the
+    candidates of each i; no len(nu)^2 table is built."""
+    nu = np.asarray(nu, dtype=float)
+    order = np.argsort(nu)
+    lo = np.searchsorted(nu[order], -nu - tol, side="left")
+    count = np.searchsorted(nu[order], -nu + tol, side="right") - lo
+    i = np.repeat(np.arange(nu.size), count)
+    j = order[np.arange(i.size)
+              + np.repeat(lo - np.cumsum(count) + count, count)]
+    hit = np.abs(nu[i] + nu[j]) < tol
+    i, j = i[hit], j[hit]
+    first = np.lexsort((j, i))
+    return i[first], j[first]
+
+
+def _transition_size(model: SpectralModel, K: int) -> int:
+    """Size of the window the transition verbs scan: -K..K on Z, else K."""
+    return 2 * K + 1 if model.kind.laws.lowest is None else K
+
+
+def _transition_modes(model: SpectralModel, l: int, K: int):
+    """The modes k != l of that window and nu_k = lambda_k - lambda_l."""
+    model.check_index(l)
+    ks = index_window(model, _transition_size(model, K))
+    ks = ks[ks != l]
+    return ks, eigenvalue(model, ks) - eigenvalue(model, l)
 
 
 def transition_frequencies(model: SpectralModel, l: int, K: int) -> np.ndarray:
     """Merged sorted sequence {0} u {+-(lambda_k - lambda_l)} over the window."""
-    model.check_index(l)
-    ks = index_window(model, 2 * K + 1 if _LOWEST_INDEX[model.kind] is None
-                      else K)
-    ks = ks[ks != l]
-    diffs = eigenvalue(model, ks) - eigenvalue(model, l)
+    _, diffs = _transition_modes(model, l, K)
     return np.sort(np.concatenate(([0.0], diffs, -diffs)))
 
 
@@ -238,7 +304,7 @@ def gap_analysis(model: SpectralModel, l: int, K: int) -> GapReport:
     return GapReport(
         min_gap=min_gap,
         gamma_estimate=float(kept[0]),
-        distinct=min_gap > _GAP_TOL,
+        distinct=min_gap > _FREQ_TOL,
         window=K,
         excluded=n_excluded,
     )

@@ -18,8 +18,7 @@ from .errors import (ControllabilityDefectError, DomainError,
 from .moments import MomentProblem, solve
 from .potentials import PiecewisePotential, coefficient_table
 from .propagator import (DEFAULT_STEPS, ControlSignal, Propagator,
-                         SobolevNorm, StateVector, basis_state,
-                         default_h1_norm, sobolev_norm)
+                         SobolevNorm, StateVector, basis_state, sobolev_norm)
 from .spectral import (SpectralModel, eigenvalue, index_window,
                        window_position)
 
@@ -137,7 +136,7 @@ def steer(problem: SteeringProblem, K: int, N: int | None = None,
     if K > N:
         raise DomainError("cannot control more modes than simulated")
     model = problem.model
-    norm = default_h1_norm(model)
+    norm = model.kind.laws.h1_norm
     prop = Propagator(model, problem.mu, N)
     controlled = window_position(model, N, index_window(model, K))
     u = ControlSignal.zero(problem.T, n_steps)
@@ -176,7 +175,7 @@ def perturbed_target(model: SpectralModel, N: int, l: int, T: float,
     coeffs[window_position(model, N, ks)] = decay * (draws[:, 0]
                                                      + 1j * draws[:, 1])
     raw = project_tangent(StateVector(model, coeffs), l, T)
-    scale = delta / (2.0 * sobolev_norm(raw, default_h1_norm(model)))
+    scale = delta / (2.0 * sobolev_norm(raw, model.kind.laws.h1_norm))
     psi = eigensolution(model, N, l, T) + raw.scaled(scale)
     return psi.scaled(1.0 / psi.norm())
 

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from bilinctrl import (BoundWeight, ControlSignal, ExperimentConfig,
                        MomentProblem, Propagator, SpectralModel, basis_state,
-                       coefficient_table, eigenvalue, index_window, indicator,
-                       load_config, moments, neumann_example,
-                       neumann_obstruction_scan, periodic_example, solve)
+                       coefficient_table, dirichlet_example, eigenvalue,
+                       half_line_step, index_window, indicator, load_config,
+                       moments, neumann_example, neumann_obstruction_scan,
+                       periodic_example, solve)
 from bilinctrl.cli import _CSV_BLOCK, main, read_csv, read_json, write_csv
 from bilinctrl.errors import IllConditionedError
 
@@ -188,6 +189,52 @@ def test_resonant_mode_reports_violations_with_exit_zero(tmp_path):
     assert [7, 1] in doc["violations"]
 
 
+def test_resonance_reads_the_model(tmp_path, capsys):
+    # lambda_k = 2k + 1 is equally spaced, so mode 2 resonates
+    assert _run(["resonance", "--model", "harmonic", "--l", "2", "--K", "10",
+                 "-o", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        "l=2: resonance violated by pairs [(4, 0), (3, 1), (1, 3), (0, 4)]\n")
+    doc = read_json(str(tmp_path / "resonance.json"))
+    assert not doc["ok"]
+    assert doc["violations"] == [[4, 0], [3, 1], [1, 3], [0, 4]]
+
+
+@pytest.mark.parametrize("model", ["neumann", "harmonic"])
+def test_resonance_accepts_mode_zero(model, tmp_path, capsys):
+    assert _run(["resonance", "--model", model, "--l", "0", "--K", "50",
+                 "-o", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        "l=0: no resonant pairs up to K=50\n")
+
+
+# every (model, weight) pair whose multiplier is not finite and positive on
+# the model's index set, with flags selecting the model and a potential
+_REJECTED_WEIGHTS = [
+    (flags, weight) for flags, weights in [
+        (["--model", "periodic_magnetic", "--drift", "1", "--preset",
+          "periodic_example", "--l", "0"],
+         ["inverse_k", "inverse_sqrt_lambda"]),
+        (["--model", "neumann", "--preset", "neumann_example", "--l", "0"],
+         ["inverse_k"]),
+        (["--model", "harmonic", "--preset", "half_line_step", "--l", "0"],
+         ["inverse_k"]),
+    ] for weight in weights]
+
+
+@pytest.mark.parametrize("verb", ["coeffs", "bound-check"])
+@pytest.mark.parametrize("flags, weight", _REJECTED_WEIGHTS,
+                         ids=lambda p: p if isinstance(p, str) else p[1])
+def test_a_weight_the_model_rejects_exits_one(verb, flags, weight, tmp_path,
+                                              capsys):
+    out = tmp_path / "out"
+    assert _run([verb, *flags, "--K", "50", "--weight", weight,
+                 "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bound weight {weight} ")
+    assert f" the {flags[1]} model" in err
+    assert os.listdir(out) == []
+
 def test_unknown_config_key_is_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"numerics": {"N": 8, "bogus": 1}}))
@@ -209,6 +256,28 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert (capsys.readouterr().err
             == f"error: config {path}: No such file or directory\n")
 
+
+@pytest.mark.parametrize("control, message", [
+    ({"type": "ramp"}, "unknown control type 'ramp'"),
+    ({"type": [1]}, "unknown control type [1]"),
+    ({"type": "zero", "value": 1.0}, "unknown control key(s) ['value']"),
+    ({"type": "constant", "value": 1.0, "slope": 2},
+     "unknown control key(s) ['slope']"),
+], ids=["type", "unhashable-type", "zero-key", "constant-key"])
+def test_malformed_control_is_a_config_error(control, message, tmp_path,
+                                             capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"task": {"control": control}}))
+    assert _run(["simulate", "--config", str(path), "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+def test_non_utf8_config_file_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert _run(["spectrum", "--config", str(path), "-o", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path}: ")
+    assert "can't decode byte 0xff in position 0" in err
 
 def test_invalid_model_error_exits_one(tmp_path, capsys):
     # Dirichlet has no mode 0
@@ -373,18 +442,32 @@ _MULTIPLIERS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+# a model that accepts each weight: the model, its potential, the mode l and
+# the flags that select them
+_WEIGHT_SETUPS = {
+    BoundWeight.INVERSE_K: (
+        SpectralModel.dirichlet(), dirichlet_example(), 1,
+        ["--preset", "dirichlet_example", "--l", "1"]),
+    BoundWeight.INVERSE_K_PLUS_1: (
+        SpectralModel.periodic(1.0), periodic_example(), 0,
+        ["--model", "periodic_magnetic", "--drift", "1", "--preset",
+         "periodic_example", "--l", "0"]),
+    BoundWeight.INVERSE_SQRT_LAMBDA: (
+        SpectralModel.harmonic(), half_line_step(0.3), 0,
+        ["--model", "harmonic", "--preset", "half_line_step", "--a", "0.3",
+         "--l", "0"]),
+}
+
+
 @pytest.mark.parametrize("weight", list(BoundWeight), ids=lambda w: w.value)
 def test_weighted_coefficients_match_a_per_index_reference(weight, tmp_path):
-    # sqrt(2k + 1) is nan at negative periodic k, and so is the reference
     K = 5000
-    args = ["--model", "periodic_magnetic", "--drift", "1", "--preset",
-            "periodic_example", "--l", "0", "--K", str(K), "--weight",
-            weight.value, "-o", str(tmp_path)]
+    model, mu, l, flags = _WEIGHT_SETUPS[weight]
+    args = [*flags, "--K", str(K), "--weight", weight.value,
+            "-o", str(tmp_path)]
     assert _run(["coeffs", *args]) == 0
     assert _run(["bound-check", *args]) == 0
-    table = coefficient_table(periodic_example(), SpectralModel.periodic(1.0),
-                              0, K)
+    table = coefficient_table(mu, model, l, K)
     multiplier = _MULTIPLIERS[weight]
     ref = [(int(k), complex(v), abs(complex(v)),
             abs(complex(v)) * multiplier(int(k)))

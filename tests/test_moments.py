@@ -181,6 +181,37 @@ class TestSymmetrize:
         with pytest.raises(DegeneracyError):
             MomentProblem(1.0, (2.0, 2.0 + 1e-12), (1.0, 1.0))
 
+    def test_collision_names_the_first_pair_in_row_order(self):
+        # row 0 (3) meets -3 before row 1 (2) meets -2
+        p = MomentProblem(1.0, (3.0, 2.0, 5.0, -2.0, -3.0), (1.0,) * 5)
+        with pytest.raises(DegeneracyError,
+                           match="^frequencies 3 and -3 are opposite"):
+            symmetrize(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(freqs=st.lists(st.sampled_from([0.0, 1.0, -1.0, 1.0 + 5e-10,
+                                           1.0 + 2e-9, 2.5, -2.5, 1e9]),
+                          min_size=1, max_size=8))
+    def test_repeats_and_collisions_match_a_full_table(self, freqs):
+        fs = np.asarray(freqs)
+        close = np.abs(fs[:, None] - fs[None, :]) < 1e-9
+        np.fill_diagonal(close, False)
+        opposite = np.abs(fs[:, None] + fs[None, :]) < 1e-9
+        np.fill_diagonal(opposite, False)
+        targets = tuple(1.0 if f == 0.0 else 1.0j for f in freqs)
+        if close.any():
+            with pytest.raises(DegeneracyError, match="repeated"):
+                MomentProblem(1.0, tuple(freqs), targets)
+            return
+        p = MomentProblem(1.0, tuple(freqs), targets)
+        if opposite.any():
+            j, k = np.argwhere(opposite)[0]
+            with pytest.raises(DegeneracyError, match=(
+                    f"^frequencies {fs[j]:g} and {fs[k]:g} are opposite")):
+                symmetrize(p)
+        else:
+            symmetrize(p)
+
 
 class TestSolve:
     @pytest.mark.parametrize("model,l,T", [

@@ -24,8 +24,9 @@ from bilinctrl.potentials import (BoundWeight, CoefficientMethod,
                                   harmonic_tail_coefficient, indicator,
                                   inner_product, neumann_example,
                                   neumann_obstruction_scan, periodic_example,
-                                  verify_lower_bound, zero_potential)
-from bilinctrl.spectral import SpectralModel, eigenfunction_value
+                                  verify_lower_bound, weighted_moduli,
+                                  zero_potential)
+from bilinctrl.spectral import ModelKind, SpectralModel, eigenfunction_value
 
 DIRICHLET = SpectralModel.dirichlet()
 NEUMANN = SpectralModel.neumann()
@@ -195,6 +196,44 @@ class TestLowerBounds:
         assert BoundWeight.INVERSE_K.multiplier(-3) == 3.0
         assert BoundWeight.INVERSE_K_PLUS_1.multiplier(3) == 4.0
         assert BoundWeight.INVERSE_SQRT_LAMBDA.multiplier(4) == 3.0
+
+
+# each model with a potential on its domain and a mode of its window
+_WEIGHT_CASES = [(DIRICHLET, dirichlet_example(), 1),
+                 (PERIODIC, periodic_example(), 0),
+                 (NEUMANN, neumann_example(), 0),
+                 (HARMONIC, half_line_step(0.3), 0)]
+
+
+class TestBoundWeightRule:
+    @pytest.mark.parametrize("model, mu, l", _WEIGHT_CASES,
+                             ids=[m.kind.value for m, *_ in _WEIGHT_CASES])
+    @pytest.mark.parametrize("weight", list(BoundWeight),
+                             ids=lambda w: w.value)
+    @pytest.mark.parametrize("size", [2, 3, 40])
+    def test_accepted_exactly_where_the_multiplier_is_finite_and_positive(
+            self, model, mu, l, weight, size):
+        table = coefficient_table(mu, model, l, size)
+        with np.errstate(invalid="ignore"):
+            m = weight.multiplier(table.indices)
+        valid = bool(np.all(np.isfinite(m) & (m > 0.0)))
+        assert (weight in model.kind.laws.weights) is valid
+        if valid:
+            modulus, weighted = weighted_moduli(table, weight)
+            assert np.array_equal(weighted, modulus * m)
+            verify_lower_bound(table, weight)
+            return
+        pattern = rf"{weight.value} .* {model.kind.value} model"
+        with pytest.raises(DomainError, match=pattern):
+            weighted_moduli(table, weight)
+        with pytest.raises(DomainError, match=pattern):
+            verify_lower_bound(table, weight)
+
+    def test_default_weights_come_first(self):
+        # the defaults the coeffs and bound-check verbs have always used
+        assert [kind.laws.weights[0] for kind in ModelKind] == [
+            BoundWeight.INVERSE_K, BoundWeight.INVERSE_K_PLUS_1,
+            BoundWeight.INVERSE_K_PLUS_1, BoundWeight.INVERSE_SQRT_LAMBDA]
 
 
 class TestNeumannObstruction:

@@ -10,7 +10,8 @@ from bilinctrl.errors import DomainError
 from bilinctrl.spectral import (SpectralModel, check_resonance,
                                 eigenfunction_value, eigenvalue, gap_analysis,
                                 hermite_function_values, index_window,
-                                transition_frequencies, window_position)
+                                opposite_pairs, transition_frequencies,
+                                window_position)
 
 DIRICHLET = SpectralModel.dirichlet()
 NEUMANN = SpectralModel.neumann()
@@ -137,6 +138,80 @@ class TestResonance:
                     if j != l and k != l and j * j - l * l == l * l - k * k:
                         want.add((j, k))
             assert set(check_resonance(l, K).violations) == want
+
+
+def _integer_resonances(l, K):
+    """Dirichlet pairs j^2 + k^2 = 2 l^2, j, k in {1..K} \\ {l}, sorted by k:
+    the exact integer algorithm, one dictionary lookup per k."""
+    squares = {j * j: j for j in range(1, K + 1) if j != l}
+    return tuple((squares[2 * l * l - k * k], k) for k in range(1, K + 1)
+                 if k != l and 2 * l * l - k * k in squares)
+
+
+class TestResonanceOnEveryModel:
+    @pytest.mark.parametrize("l", [5, 25, 65, 325, 1105, 5525, 32045])
+    def test_dirichlet_matches_the_integer_law_at_K_1e5(self, l):
+        # an absolute 1e-9 tolerance on the float frequencies finds only 2 of
+        # the 26 pairs at l = 1105: rounding in lambda_j grows with lambda_l
+        want = _integer_resonances(l, 100_000)
+        assert want
+        assert check_resonance(l, 100_000).violations == want
+
+    def test_harmonic_equal_spacing_resonates(self):
+        # lambda_k = 2k + 1: nu_4 = -nu_0 and nu_3 = -nu_1 around l = 2
+        report = check_resonance(2, 10, HARMONIC)
+        assert not report.ok
+        assert report.violations == ((4, 0), (3, 1), (1, 3), (0, 4))
+
+    def test_driftfree_periodic_degeneracy_is_a_self_collision(self):
+        # lambda_{-1} = lambda_1 without drift, so nu_{-1} = 0 = -nu_{-1}
+        report = check_resonance(1, 10, SpectralModel.periodic(0.0))
+        assert report.violations == ((-1, -1),)
+
+    @pytest.mark.parametrize("l", [-3, 0, 1, 4])
+    def test_drift_splits_the_periodic_resonances(self, l):
+        assert check_resonance(l, 50, PERIODIC).ok
+
+    @pytest.mark.parametrize("model", [NEUMANN, HARMONIC])
+    def test_mode_zero_is_accepted(self, model):
+        report = check_resonance(0, 50, model)
+        assert report.ok and report.l == 0 and report.window == 50
+
+    @pytest.mark.parametrize("model, l", [
+        (DIRICHLET, 0), (DIRICHLET, 11), (NEUMANN, 10), (NEUMANN, -1),
+        (HARMONIC, 10), (PERIODIC, 11), (PERIODIC, -11)])
+    def test_mode_outside_the_window_is_rejected(self, model, l):
+        with pytest.raises(DomainError):
+            check_resonance(l, 10, model)
+
+    @settings(max_examples=120, deadline=None)
+    @given(model=st.sampled_from(MODELS + [SpectralModel.periodic(0.0),
+                                           SpectralModel.periodic(0.5)]),
+           K=st.integers(2, 120), data=st.data())
+    def test_a_reported_pair_is_a_collision_that_gaps_sees(self, model, K,
+                                                          data):
+        window = index_window(model, 2 * K + 1 if model.kind.laws.lowest
+                              is None else K)
+        l = data.draw(st.sampled_from(window.tolist()))
+        report = check_resonance(l, K, model)
+        lam_l = eigenvalue(model, l)
+        for j, k in report.violations:
+            assert l not in (j, k) and j in window and k in window
+            assert abs(eigenvalue(model, j) + eigenvalue(model, k)
+                       - 2 * lam_l) < 1e-9 * max(1.0, abs(lam_l))
+        if not report.ok:
+            assert not gap_analysis(model, l, K).distinct
+
+    @settings(max_examples=200, deadline=None)
+    @given(nu=st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.5, -2.5, 1e-10,
+                                        -3e-10, 7.0, 1e9, -1e9]),
+                       max_size=12),
+           tol=st.sampled_from([1e-9, 1e-6, 0.5, 1.0]))
+    def test_opposite_pairs_match_a_full_table(self, nu, tol):
+        nu = np.asarray(nu, dtype=float)
+        i, j = opposite_pairs(nu, tol)
+        want = np.argwhere(np.abs(nu[:, None] + nu[None, :]) < tol)
+        assert np.array_equal(np.column_stack((i, j)), want)
 
 
 class TestGaps:
