@@ -38,7 +38,7 @@ class MomentProblem:
             raise DomainError("empty moment problem")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "targets", targets)
-        if np.any(np.diff(np.sort(freqs)) < _FREQ_TOL):
+        if np.any(np.diff(sorted(freqs)) < _FREQ_TOL):
             raise DegeneracyError("repeated moment frequencies")
         for f, x in zip(freqs, targets):
             if abs(f) < _FREQ_TOL and abs(x.imag) > 1e-12 * max(1.0, abs(x)):

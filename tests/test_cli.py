@@ -235,6 +235,7 @@ def test_a_weight_the_model_rejects_exits_one(verb, flags, weight, tmp_path,
     assert f" the {flags[1]} model" in err
     assert os.listdir(out) == []
 
+
 def test_unknown_config_key_is_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"numerics": {"N": 8, "bogus": 1}}))
@@ -271,6 +272,7 @@ def test_malformed_control_is_a_config_error(control, message, tmp_path,
     assert _run(["simulate", "--config", str(path), "-o", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
+
 def test_non_utf8_config_file_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(b"\xff\xfe{}")
@@ -278,6 +280,7 @@ def test_non_utf8_config_file_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: config {path}: ")
     assert "can't decode byte 0xff in position 0" in err
+
 
 def test_invalid_model_error_exits_one(tmp_path, capsys):
     # Dirichlet has no mode 0

@@ -140,12 +140,17 @@ class TestResonance:
             assert set(check_resonance(l, K).violations) == want
 
 
-def _integer_resonances(l, K):
-    """Dirichlet pairs j^2 + k^2 = 2 l^2, j, k in {1..K} \\ {l}, sorted by k:
-    the exact integer algorithm, one dictionary lookup per k."""
-    squares = {j * j: j for j in range(1, K + 1) if j != l}
-    return tuple((squares[2 * l * l - k * k], k) for k in range(1, K + 1)
-                 if k != l and 2 * l * l - k * k in squares)
+def _integer_resonances(l, ks):
+    """Pairs j^2 + k^2 = 2 l^2, j, k in ks \\ {l} (ascending), sorted by k,
+    then j: the exact integer algorithm, one dictionary lookup per k.  On the
+    Dirichlet modes and the drift-free periodic ones these are the pairs with
+    lambda_j + lambda_k = 2 lambda_l."""
+    roots = {}
+    for j in ks:
+        if j != l:
+            roots.setdefault(j * j, []).append(j)
+    return tuple((j, k) for k in ks if k != l
+                 for j in roots.get(2 * l * l - k * k, ()))
 
 
 class TestResonanceOnEveryModel:
@@ -153,9 +158,21 @@ class TestResonanceOnEveryModel:
     def test_dirichlet_matches_the_integer_law_at_K_1e5(self, l):
         # an absolute 1e-9 tolerance on the float frequencies finds only 2 of
         # the 26 pairs at l = 1105: rounding in lambda_j grows with lambda_l
-        want = _integer_resonances(l, 100_000)
+        want = _integer_resonances(l, range(1, 100_001))
         assert want
         assert check_resonance(l, 100_000).violations == want
+
+    @pytest.mark.parametrize("model, l, K, window", [
+        # 2 l^2 - 1 = 4556^2 + 44489^2: the sum misses 2 lambda_l by pi^2
+        (DIRICHLET, 31623, 100_000, range(1, 100_001)),
+        # (l + 1, l - 1) misses it by 8 pi^2
+        (SpectralModel.periodic(0.0), 49_000, 50_000, range(-50_000, 50_001)),
+    ])
+    def test_a_near_miss_is_no_pair_at_large_l(self, model, l, K, window):
+        # a tolerance of 1e-9 lambda_l (10.0 and 94.8 here) reports 16 and 8
+        # such near misses; only the integer law's pairs remain
+        want = _integer_resonances(l, window)
+        assert check_resonance(l, K, model).violations == want
 
     def test_harmonic_equal_spacing_resonates(self):
         # lambda_k = 2k + 1: nu_4 = -nu_0 and nu_3 = -nu_1 around l = 2
@@ -198,7 +215,7 @@ class TestResonanceOnEveryModel:
         for j, k in report.violations:
             assert l not in (j, k) and j in window and k in window
             assert abs(eigenvalue(model, j) + eigenvalue(model, k)
-                       - 2 * lam_l) < 1e-9 * max(1.0, abs(lam_l))
+                       - 2 * lam_l) < max(1e-9, 1024 * np.spacing(abs(lam_l)))
         if not report.ok:
             assert not gap_analysis(model, l, K).distinct
 
