@@ -55,6 +55,10 @@ fails_cleanly steer --config missing.json
 printf '\377\376{}' > bad.json
 fails_cleanly spectrum --config bad.json
 
+# non-finite moment data (Python's json reads NaN) is a domain error
+printf '%s' '{"task": {"T": 1.0, "frequencies": [NaN, 2.0], "targets_re": [1.0, 1.0], "targets_im": [0.0, 0.0]}}' > nan.json
+fails_cleanly moments-solve --config nan.json
+
 # resonance reads --model: the equally spaced harmonic spectrum resonates
 res=$($BILINCTRL resonance --model harmonic --l 2 --K 10 -o cli-smoke)
 echo "$res"

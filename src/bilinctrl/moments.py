@@ -28,14 +28,17 @@ class MomentProblem:
     targets: tuple
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise DomainError("horizon must be positive")
+        if not 0.0 < self.horizon < np.inf:
+            raise DomainError("horizon must be positive and finite")
         freqs = tuple(float(f) for f in self.frequencies)
         targets = tuple(complex(x) for x in self.targets)
         if len(freqs) != len(targets):
             raise DomainError("frequency and target counts differ")
         if not freqs:
             raise DomainError("empty moment problem")
+        for name, values in (("frequency", freqs), ("target", targets)):
+            if not np.all(np.isfinite(values)):
+                raise DomainError(f"non-finite moment {name}")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "targets", targets)
         if np.any(np.diff(sorted(freqs)) < _FREQ_TOL):

@@ -28,6 +28,11 @@ Finiteness is checked once, on the final state: NaN and inf never become
 finite again under these products, so the first non-finite step is searched
 for only when that check fails.
 
+A vanishing control (every u_m exactly zero) makes every D_m the identity,
+so the product collapses to H^{2n} = e^{-i Lambda T}: propagate returns that
+free flow in closed form, e^{-i Lambda t_m} c_0 at every grid time, and runs
+no step.
+
 An exponential-sum control sum_j a_j e^{i f_j t} is evaluated on its grid
 t_m = t0 + m h as one factored-phase product: with B = ceil(sqrt(n)) and
 m = q B + r, e^{i f t_m} = e^{i f (t0 + q B h)} e^{i f r h}, one complex GEMM
@@ -160,6 +165,10 @@ class ControlSignal:
             return _grid_terms(self.parametric, 0.5 * self.step, self.step,
                                self.n_steps)
         return 0.5 * (self.samples[:-1] + self.samples[1:])
+
+    def vanishes(self) -> bool:
+        """Every midpoint value is exactly zero: the Strang flow is free."""
+        return not np.any(self.midpoint_values())
 
     def l2_norm(self) -> float:
         """Trapezoidal L2(0, T) norm of the sampled signal."""
@@ -397,9 +406,17 @@ class Propagator:
                   reverse: bool = False) -> Trajectory:
         """Strang-split evolution; with reverse=True the generator is negated
         and the control read backwards, which inverts the forward product
-        exactly (time reversibility)."""
+        exactly (time reversibility).  A vanishing control gives the exact
+        free flow e^{-/+ i Lambda t} c_0 at the grid times, with no steps."""
         if psi0.size != self.indices.size:
             raise DomainError("state truncation does not match propagator")
+        times = u.times if store_trajectory else np.asarray([0.0, u.horizon])
+        if u.vanishes():
+            states = np.multiply.outer(times,
+                                       (1j if reverse else -1j) * self.lam)
+            np.exp(states, out=states)
+            states *= psi0.coefficients
+            return Trajectory(times=times, states=states, model=self.model)
         half, WT, phase_blocks = self._split_factors(u, reverse=reverse)
         n = u.n_steps
         states = np.empty((n + 1 if store_trajectory else 2, psi0.size),
@@ -417,7 +434,6 @@ class Propagator:
                 block[...] = (block @ self._V.T) * half
         # the last row as endpoint computes it, so the two agree bitwise
         states[-1] = half * (self._V @ z)
-        times = u.times if store_trajectory else np.asarray([0.0, u.horizon])
         return Trajectory(times=times, states=states, model=self.model)
 
     def endpoint(self, psi0: StateVector, u: ControlSignal) -> StateVector:
@@ -427,7 +443,7 @@ class Propagator:
                              u_base: ControlSignal | None = None
                              ) -> StateVector:
         """Endpoint of the linearization around the free eigensolution
-        (u_base None or zero) or around a general base control.
+        (u_base None or vanishing) or around a general base control.
 
         Around the free flow the endpoint is the closed-form Duhamel formula
 
@@ -441,8 +457,7 @@ class Propagator:
         is what a finite-difference check of the endpoint map differentiates.
         """
         self.model.check_index(l)
-        if u_base is None or (u_base.parametric == ((0.0, 0.0j),)
-                              or not np.any(u_base.samples)):
+        if u_base is None or u_base.vanishes():
             return self._linearized_free(v, l)
         psi0 = basis_state(self.model, self.N, l)
         return StateVector(self.model,
@@ -482,19 +497,26 @@ def _phase_rows(theta: np.ndarray, w: np.ndarray,
     return np.exp(out, out=out)
 
 
-def _strang_steps(WT: np.ndarray, phase_blocks, Z: np.ndarray,
+def _strang_steps(WT: np.ndarray, phase_blocks, Z0: np.ndarray,
                   rows: np.ndarray | None = None,
                   checked: bool = False) -> np.ndarray:
-    """Run Z <- D_m * (Z W^T) over every step and return the final Z, one
-    state or a block of rows, one per row of D_m.  With gaps G_m, rows 1..
-    then gain G_m * (Z W^T)[0].  Row m of rows, when given, receives Z after
-    step m; checked raises at the first step whose state is not finite."""
+    """Run Z <- D_m * (Z W^T) from Z0 over every step and return the final
+    Z, one state or a block of rows, one per row of D_m.  With gaps G_m,
+    rows 1.. then gain G_m * (Z W^T)[0].  Row m of rows, when given,
+    receives Z after step m; checked raises at the first step whose state is
+    not finite.  Every step runs in buffers made once, so Z0 is never
+    written and a checked re-run can restart from it."""
+    Z, Y, gain = Z0.copy(), np.empty_like(Z0), np.empty_like(Z0[1:])
+    # the bound Z.dot skips np.dot's dispatch; a block keeps matmul, as
+    # np.dot rounds a block times a 1 x 1 W^T differently
+    product = Z.dot if Z.ndim == 1 else lambda A, out: np.matmul(Z, A, out)
     for m0, D, G in phase_blocks:
         for j, d in enumerate(D):
-            Y = Z @ WT
-            Z = d * Y
+            product(WT, Y)
+            np.multiply(d, Y, Z)
             if G is not None:
-                Z[1:] += G[j] * Y[0]
+                np.multiply(G[j], Y[0], out=gain)
+                Z[1:] += gain
             if rows is not None:
                 rows[m0 + j] = Z
             if checked and not np.all(np.isfinite(Z)):

@@ -230,10 +230,7 @@ def check_resonance(l: int, K: int,
     window is necessary at scale, not a proof for all indices."""
     window_position(model, _transition_size(model, K), l)
     ks, nu = _transition_modes(model, l, K)
-    # a collision rounds to a few ulps of lambda_l, past 1e-9 from 1e7 on;
-    # 1024 ulps stay below the Dirichlet sums' spacing pi^2 to l ~ 2.6e6
-    tol = max(_FREQ_TOL, 1024 * np.spacing(abs(eigenvalue(model, l))))
-    k, j = opposite_pairs(nu, tol)
+    k, j = opposite_pairs(nu, _collision_tol(model, l))
     violations = tuple(zip(ks[j].tolist(), ks[k].tolist()))
     return ResonanceReport(ok=not violations, violations=violations,
                            l=l, window=K)
@@ -250,6 +247,12 @@ class GapReport:
 
 # Absolute scale below which two frequencies count as colliding.
 _FREQ_TOL = 1e-9
+
+
+def _collision_tol(model: SpectralModel, l: int) -> float:
+    """Collision scale of mode l: a few ulps of lambda_l pass 1e-9 from 1e7
+    on; 1024 ulps stay below the Dirichlet spacing pi^2 to l ~ 2.6e6."""
+    return max(_FREQ_TOL, 1024 * float(np.spacing(abs(eigenvalue(model, l)))))
 
 
 def opposite_pairs(nu, tol: float):
@@ -304,7 +307,7 @@ def gap_analysis(model: SpectralModel, l: int, K: int) -> GapReport:
     return GapReport(
         min_gap=min_gap,
         gamma_estimate=float(kept[0]),
-        distinct=min_gap > _FREQ_TOL,
+        distinct=min_gap > _collision_tol(model, l),
         window=K,
         excluded=n_excluded,
     )

@@ -236,6 +236,25 @@ def test_a_weight_the_model_rejects_exits_one(verb, flags, weight, tmp_path,
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("task, message", [
+    ({"frequencies": [float("nan"), 2.0], "targets_re": [1.0, 1.0]},
+     "non-finite moment frequency"),
+    ({"frequencies": [1.0, 2.0], "targets_re": [float("inf"), 1.0]},
+     "non-finite moment target"),
+    ({"T": float("nan")}, "horizon must be positive and finite"),
+], ids=["nan-frequency", "inf-target", "nan-horizon"])
+def test_non_finite_moment_data_is_a_domain_error(task, message, tmp_path,
+                                                  capsys):
+    # Python's json reads NaN and Infinity
+    task = {"T": 1.0, "frequencies": [1.0, 2.0], "targets_re": [1.0, 1.0],
+            "targets_im": [0.0, 0.0], **task}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"task": task}))
+    assert _run(["moments-solve", "--config", str(path),
+                 "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unknown_config_key_is_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"numerics": {"N": 8, "bogus": 1}}))

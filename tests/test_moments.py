@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import BarycentricInterpolator
 
-from bilinctrl.errors import DegeneracyError, IllConditionedError
+from bilinctrl.errors import DegeneracyError, DomainError, IllConditionedError
 from bilinctrl.moments import (MomentProblem, MomentSolution,
                                bessel_diagnostic, moments, solve, symmetrize)
 from bilinctrl.integrals import poly_exp_integral
@@ -180,6 +180,18 @@ class TestSymmetrize:
     def test_duplicate_frequencies_rejected(self):
         with pytest.raises(DegeneracyError):
             MomentProblem(1.0, (2.0, 2.0 + 1e-12), (1.0, 1.0))
+
+    @pytest.mark.parametrize("T, freqs, targets, name", [
+        (np.nan, (1.0, 2.0), (1.0, 1.0), "horizon"),
+        (np.inf, (1.0, 2.0), (1.0, 1.0), "horizon"),
+        (1.0, (np.nan, 2.0), (1.0, 1.0), "frequency"),
+        (1.0, (1.0, -np.inf), (1.0, 1.0), "frequency"),
+        (1.0, (1.0, 2.0), (np.inf, 1.0), "target"),
+        (1.0, (1.0, 2.0), (1.0, complex(0.0, np.nan)), "target"),
+    ])
+    def test_non_finite_data_rejected(self, T, freqs, targets, name):
+        with pytest.raises(DomainError, match=name):
+            MomentProblem(T, freqs, targets)
 
     def test_collision_names_the_first_pair_in_row_order(self):
         # row 0 (3) meets -3 before row 1 (2) meets -2

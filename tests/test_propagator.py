@@ -1,6 +1,7 @@
 """Strang-split propagation: unitarity, reversibility, convergence order,
 linearization, and Sobolev norms."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +9,16 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from bilinctrl import propagator
 from bilinctrl.errors import DomainError, ModelError, NumericError
 from bilinctrl.integrals import poly_exp_integral
 from bilinctrl.potentials import (CoefficientMethod, PiecewisePotential,
                                   PotentialDomain, dirichlet_example,
                                   half_line_step, inner_product,
                                   neumann_example, periodic_example)
-from bilinctrl.propagator import (_PHASE_BLOCK, ControlSignal, Propagator,
-                                  SobolevNorm, StateVector, basis_state,
-                                  coupling_matrix, sobolev_norm)
+from bilinctrl.propagator import (_PHASE_BLOCK, DEFAULT_STEPS, ControlSignal,
+                                  Propagator, SobolevNorm, StateVector,
+                                  basis_state, coupling_matrix, sobolev_norm)
 from bilinctrl.spectral import SpectralModel, eigenvalue, index_window
 
 DIRICHLET = SpectralModel.dirichlet()
@@ -291,6 +293,134 @@ class TestPropagate:
             with pytest.raises(NumericError, match=r"step 100$"):
                 dirichlet_prop.propagate(basis_state(DIRICHLET, 64, 1), u,
                                          store_trajectory=False)
+
+
+def _random_state(prop, seed):
+    rng = np.random.default_rng(seed)
+    size = prop.indices.size
+    coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return StateVector(prop.model, coeffs / np.linalg.norm(coeffs))
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """Counts the calls of the Strang step loop."""
+    calls = []
+    loop = propagator._strang_steps
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return loop(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "_strang_steps", counted)
+    return calls
+
+
+VANISHING = [("zero", lambda T, n: ControlSignal.zero(T, n)),
+             ("zero-samples", lambda T, n: ControlSignal(T, np.zeros(n + 1)))]
+
+
+class TestVanishingControl:
+    """Every phase row of a vanishing control is the identity, so the Strang
+    product is H^{2n} = e^{-/+ i Lambda T}: the exact free flow."""
+
+    @pytest.mark.parametrize("make", [m for _, m in VANISHING],
+                             ids=[name for name, _ in VANISHING])
+    @pytest.mark.parametrize("model,mu,N", [
+        (DIRICHLET, dirichlet_example(), 20),
+        (PERIODIC, periodic_example(), 21),
+    ])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_free_flow_matches_mpmath_and_naive_strang(
+            self, make, model, mu, N, reverse, step_calls):
+        prop = Propagator(model, mu, N)
+        psi0 = _random_state(prop, N)
+        sign = 1 if reverse else -1
+
+        def free_flow(times):
+            with mpmath.workdps(40):
+                return np.array([[complex(mpmath.expj(
+                    sign * mpmath.mpf(lam) * mpmath.mpf(t)) * c)
+                    for lam, c in zip(prop.lam, psi0.coefficients)]
+                    for t in times])
+
+        # the phase lam t rounds to half an ulp of max|lam| T, and the exp
+        # and the product with c0 add an ulp or two
+        tol = 2 * np.finfo(float).eps * (1.0 + np.max(np.abs(prop.lam)) * 0.7)
+        u = make(0.7, 64)
+        traj = prop.propagate(psi0, u, reverse=reverse)
+        assert np.array_equal(traj.times, u.times)
+        assert np.max(np.abs(traj.states - free_flow(u.times))) < tol
+        strang = _naive_strang(prop, psi0, u, reverse)
+        assert np.max(np.abs(traj.states - strang)) < 1e-12
+        # 4096 Strang steps would add their own rounding, a few tol
+        ends = prop.propagate(psi0, make(0.7, DEFAULT_STEPS),
+                              store_trajectory=False, reverse=reverse)
+        assert np.max(np.abs(ends.states - free_flow([0.0, 0.7]))) < tol
+        assert not step_calls
+
+    @pytest.mark.parametrize("make", [m for _, m in VANISHING],
+                             ids=[name for name, _ in VANISHING])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_final_is_the_endpoint_bitwise(self, dirichlet_prop, make,
+                                           reverse):
+        psi0 = _random_state(dirichlet_prop, 3)
+        u = make(0.7, 300)
+        stored = dirichlet_prop.propagate(psi0, u, reverse=reverse)
+        ends = dirichlet_prop.propagate(psi0, u, store_trajectory=False,
+                                        reverse=reverse)
+        assert ends.states.shape == (2, psi0.size)
+        assert np.array_equal(ends.times, [0.0, 0.7])
+        assert (stored.final.coefficients.tobytes()
+                == ends.final.coefficients.tobytes())
+        if not reverse:
+            assert (dirichlet_prop.endpoint(psi0, u).coefficients.tobytes()
+                    == stored.final.coefficients.tobytes())
+
+    @pytest.mark.parametrize("value", [1.0, 1e-300])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_one_nonzero_sample_runs_every_step(self, dirichlet_prop, value,
+                                                reverse, step_calls):
+        samples = np.zeros(301)
+        samples[150] = value
+        u = ControlSignal(0.7, samples)
+        assert not u.vanishes()
+        psi0 = _random_state(dirichlet_prop, 4)
+        traj = dirichlet_prop.propagate(psi0, u, reverse=reverse)
+        assert len(step_calls) == 1
+        strang = _naive_strang(dirichlet_prop, psi0, u, reverse)
+        assert np.max(np.abs(traj.states - strang)) < 1e-12
+
+    def test_results_share_no_memory_and_leave_the_state(self,
+                                                         dirichlet_prop):
+        psi0 = _random_state(dirichlet_prop, 5)
+        before = psi0.coefficients.copy()
+        rng = np.random.default_rng(6)
+        for u in (ControlSignal(0.5, rng.standard_normal(257)),
+                  ControlSignal.zero(0.5, 256)):
+            out = [dirichlet_prop.endpoint(psi0, u).coefficients,
+                   dirichlet_prop.endpoint(psi0, u).coefficients,
+                   dirichlet_prop.propagate(psi0, u).states,
+                   dirichlet_prop.propagate(psi0, u).states]
+            for i, a in enumerate(out):
+                assert not np.shares_memory(a, psi0.coefficients)
+                for b in out[i + 1:]:
+                    assert not np.shares_memory(a, b)
+            assert psi0.coefficients.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("rows", [None, 1])
+    def test_step_loop_leaves_its_initial_state(self, dirichlet_prop, rows):
+        rng = np.random.default_rng(7)
+        u = ControlSignal(0.5, rng.standard_normal(2 * _PHASE_BLOCK + 2))
+        _, WT, phase_blocks = dirichlet_prop._split_factors(u)
+        z0 = _random_state(dirichlet_prop, 8).coefficients
+        before = z0.copy()
+        out = np.empty((u.n_steps, z0.size), dtype=complex) if rows else None
+        z = propagator._strang_steps(WT, phase_blocks(), z0, out)
+        assert z0.tobytes() == before.tobytes()
+        assert not np.shares_memory(z, z0)
+        again = propagator._strang_steps(WT, phase_blocks(), z0)
+        assert z.tobytes() == again.tobytes()
 
 
 class TestEndpointDifferences:

@@ -252,6 +252,22 @@ class TestGaps:
         assert not report.distinct
         assert report.min_gap == pytest.approx(0.0)
 
+    def test_collision_at_the_rounding_scale_is_not_distinct(self):
+        # lambda_j + lambda_k = 2 lambda_l for 8 integer pairs, which round
+        # to a gap of a few ulps of lambda_l ~ 2e10, far above 1e-9
+        report = gap_analysis(DIRICHLET, 45000, 100000)
+        assert 0.0 < report.min_gap < 1e-5
+        assert not check_resonance(45000, 100000).ok
+        assert not report.distinct
+
+    @pytest.mark.parametrize("model,l", [(DIRICHLET, 1),
+                                         (SpectralModel.periodic(1.0), 0),
+                                         (SpectralModel.neumann(), 0),
+                                         (HARMONIC, 0)])
+    def test_small_windows_stay_distinct(self, model, l):
+        # the CLI's default window K = 20
+        assert gap_analysis(model, l, 20).distinct
+
     def test_merged_sequence_is_symmetric_and_contains_zero(self):
         nu = transition_frequencies(DIRICHLET, 1, 30)
         assert 0.0 in nu
