@@ -70,3 +70,17 @@ esac
 # sqrt(2k + 1) is not finite at negative periodic k, so the periodic model
 # rejects that weight
 fails_cleanly bound-check --model periodic_magnetic --drift 1 --preset periodic_example --l 0 --weight inverse_sqrt_lambda
+
+# a config value of the wrong type is a configuration error: ints take no
+# float or string, floats no string, tuples only numbers
+typed() {
+  printf '%s' "$2" > typed.json
+  fails_cleanly "$1" --config typed.json
+}
+for verb in simulate steer spectrum; do
+  typed "$verb" '{"numerics": {"N": "abc"}}'
+done
+typed steer '{"numerics": {"K": 2.5}}'
+typed steer '{"task": {"T": "x"}}'
+typed coeffs '{"model": {"l": null}}'
+typed coeffs '{"potential": {"preset": null, "breakpoints": [0.5], "pieces": [[1.0, "x"], [0.0]]}}'

@@ -30,8 +30,8 @@ class ModelConfig:
 @dataclass(frozen=True)
 class PotentialConfig:
     preset: str | None = "dirichlet_example"
-    breakpoints: tuple = ()
-    pieces: tuple = ()
+    breakpoints: tuple[float, ...] = ()
+    pieces: tuple[tuple[float, ...], ...] = ()
     domain: str = "unit_interval"
     # parameter for the half-line step preset
     a: float = 0.3
@@ -58,10 +58,10 @@ class TaskConfig:
     control: dict = field(default_factory=lambda: {"type": "zero"})
     # moments-solve data; with all three empty it solves the model's
     # transition family lambda_k - lambda_l over K modes, targets from seed
-    frequencies: tuple = ()
-    targets_re: tuple = ()
-    targets_im: tuple = ()
-    a_values: tuple = (0.0, 0.3, 1.0)
+    frequencies: tuple[float, ...] = ()
+    targets_re: tuple[float, ...] = ()
+    targets_im: tuple[float, ...] = ()
+    a_values: tuple[float, ...] = (0.0, 0.3, 1.0)
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,19 @@ _SECTIONS = {
 }
 
 
+# the types each scalar field annotation takes; no field takes a bool
+_TYPES = {"int": int, "float": (int, float), "str": str,
+          "str | None": (str, type(None)), "dict": dict}
+
+
+def _fits(value, annotation: str) -> bool:
+    if annotation.startswith("tuple["):  # tuple[<element>, ...]
+        return isinstance(value, tuple) and all(
+            _fits(v, annotation[6:-6]) for v in value)
+    return (isinstance(value, _TYPES[annotation])
+            and not isinstance(value, bool))
+
+
 def _build_section(cls, doc: dict, path: str):
     allowed = cls.__dataclass_fields__
     unknown = set(doc) - set(allowed)
@@ -123,15 +136,17 @@ def _build_section(cls, doc: dict, path: str):
         raise ConfigError(
             f"unknown key(s) {sorted(unknown)} in section {path!r}")
     kwargs = {}
-    for key, value in doc.items():
+    for key, raw in doc.items():
+        value = raw
         if isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v
                           for v in value)
+        # checked, never converted, so a valid config hashes as written
+        if not _fits(value, allowed[key].type):
+            raise ConfigError(
+                f"bad value {raw!r} for key {key!r} in section {path!r}")
         kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad value in section {path!r}: {exc}")
+    return cls(**kwargs)
 
 
 def load_config(doc: dict) -> ExperimentConfig:

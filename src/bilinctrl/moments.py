@@ -6,6 +6,10 @@ symmetrizes the frequency set to {+-omega_k} (conjugating the targets, so a
 real signal can match them), then takes the least-norm exponential sum
 u(t) = sum_j c_j e^{-i mu_j t}, whose coefficients solve the Gram system of
 the family {e^{-i mu_j t}}.
+
+The Gram matrix depends on the frequencies and the horizon only, so
+MomentInverse factors a family once for any number of target vectors; steer,
+whose linearization is frozen, then costs two triangular solves an iteration.
 """
 
 from __future__ import annotations
@@ -49,31 +53,43 @@ class MomentProblem:
                     "target at frequency zero must be real")
 
 
-def symmetrize(problem: MomentProblem) -> MomentProblem:
-    """Extend to the reflected frequency set with conjugate targets.
-
-    The extended data satisfy y(-omega) = conj(y(omega)) and real y(0), so
-    the exponential-sum solution is a real signal.  A collision
-    omega_j = -omega_k between distinct input frequencies makes the extended
-    family degenerate and is reported as such.
-    """
-    fs = np.asarray(problem.frequencies)
+def _reflect(frequencies):
+    """The sorted reflected family {+-omega_k} of the frequencies of a
+    MomentProblem (one below _FREQ_TOL is its zero), and the scatter of
+    targets x_k onto it: x_k at omega_k, conj(x_k) at -omega_k and Re x_k
+    at zero, so the exponential-sum solution is a real signal.  A collision
+    omega_j = -omega_k of distinct frequencies makes it degenerate."""
+    fs = np.asarray(frequencies, dtype=float)
     i, j = opposite_pairs(fs, _FREQ_TOL)
     off = np.flatnonzero(i != j)
     if off.size:
         raise DegeneracyError(
             f"frequencies {fs[i[off[0]]]:g} and {fs[j[off[0]]]:g} are "
             "opposite; the symmetrized family is degenerate")
-    pairs = {}
-    for f, x in zip(problem.frequencies, problem.targets):
-        if abs(f) < _FREQ_TOL:
-            pairs[0.0] = complex(x.real)
-        else:
-            pairs[f] = x
-            pairs[-f] = np.conj(x)
-    freqs = tuple(sorted(pairs))
-    return MomentProblem(problem.horizon, freqs,
-                         tuple(pairs[f] for f in freqs))
+    zero = np.abs(fs) < _FREQ_TOL
+    away = fs[~zero]
+    mu = np.sort(np.concatenate((away, -away, np.zeros(int(zero.any())))))
+    f = np.where(zero, 0.0, fs)
+    plus, minus = np.searchsorted(mu, f), np.searchsorted(mu, -f)
+
+    def scatter(targets) -> np.ndarray:
+        x = np.asarray(targets, dtype=complex)
+        x = np.where(plus == minus, x.real, x)
+        y = np.empty(mu.size, dtype=complex)
+        y[minus], y[plus] = np.conj(x), x
+        return y
+
+    return mu, scatter
+
+
+def symmetrize(problem: MomentProblem) -> MomentProblem:
+    """Extend to the reflected frequency set with conjugate targets by the
+    rule of _reflect: y(-omega) = conj(y(omega)) and real y(0), so the
+    exponential-sum solution is a real signal; opposite input frequencies
+    make the extended family degenerate."""
+    mu, scatter = _reflect(problem.frequencies)
+    return MomentProblem(problem.horizon, tuple(mu),
+                         tuple(scatter(problem.targets)))
 
 
 def _gram(freqs: np.ndarray, T: float) -> np.ndarray:
@@ -81,14 +97,37 @@ def _gram(freqs: np.ndarray, T: float) -> np.ndarray:
     return _exp_integral(np.subtract.outer(freqs, freqs), T)
 
 
-def _cholesky_solve(G: np.ndarray, y: np.ndarray) -> np.ndarray:
-    L = np.linalg.cholesky(G)
-    z = np.linalg.solve(L, y)
-    c = np.linalg.solve(L.conj().T, z)
-    # one step of iterative refinement recovers digits near the cap
-    r = y - G @ c
-    z = np.linalg.solve(L, r)
-    return c + np.linalg.solve(L.conj().T, z)
+class MomentInverse:
+    """The least-norm inverse of the moment map of one family on (0, T):
+    the reflected family mu (frequencies) and the Cholesky factor of its
+    Gram matrix, whose condition is checked against the cap, built once;
+    each target vector then costs two pairs of triangular solves."""
+
+    def __init__(self, T: float, frequencies, condition_cap: float = 1e12):
+        self.frequencies, self.scatter = _reflect(frequencies)
+        self.gram = _gram(self.frequencies, T)
+        eig = np.linalg.eigvalsh(self.gram)
+        # a Gram matrix rounded to a non-positive eigenvalue is singular
+        self.condition = float(eig[-1] / eig[0]) if eig[0] > 0.0 else np.inf
+        if self.condition > condition_cap:
+            raise IllConditionedError(
+                f"Gram condition {self.condition:.3e} (smallest eigenvalue "
+                f"{eig[0]:.3e}) above cap {condition_cap:.1e}; enlarge T or "
+                "drop modes", condition=self.condition)
+        self._L = np.linalg.cholesky(self.gram)
+
+    def coefficients(self, targets) -> np.ndarray:
+        """c with sum_j c_j e^{-i mu_j t} the least-norm real solution for
+        the targets of the one-sided family."""
+        y = self.scatter(targets)
+        L, LH = self._L, self._L.conj().T
+        c = np.linalg.solve(LH, np.linalg.solve(L, y))
+        # one step of iterative refinement recovers digits near the cap
+        c = c + np.linalg.solve(LH, np.linalg.solve(L, y - self.gram @ c))
+        # roundoff in ill-conditioned solves breaks the exact conjugate
+        # pairing c(-mu) = conj(c(mu)) that makes the signal real; the
+        # reflected frequencies are sorted, so the reflection is a reversal
+        return 0.5 * (c + np.conj(c[::-1]))
 
 
 @dataclass(frozen=True)
@@ -97,7 +136,11 @@ class MomentSolution:
     control: ControlSignal
     coefficients: np.ndarray
     residuals: np.ndarray
-    gram_condition: float
+    inverse: MomentInverse          # the factored family, for more targets
+
+    @property
+    def gram_condition(self) -> float:
+        return self.inverse.condition
 
     @property
     def residual_max(self) -> float:
@@ -116,53 +159,20 @@ class MomentSolution:
             "n_steps": self.control.n_steps,
         }, indent=2)
 
-    @staticmethod
-    def from_json(text: str) -> "MomentSolution":
-        doc = json.loads(text)
-        problem = MomentProblem(
-            doc["T"], tuple(doc["frequencies"]),
-            tuple(np.asarray(doc["targets_re"])
-                  + 1j * np.asarray(doc["targets_im"])))
-        coeffs = (np.asarray(doc["coefficients_re"])
-                  + 1j * np.asarray(doc["coefficients_im"]))
-        control = _exponential_sum_control(
-            np.asarray(problem.frequencies), coeffs, problem.horizon,
-            doc.get("n_steps", DEFAULT_STEPS))
-        mom = moments(control, problem.frequencies)
-        return MomentSolution(problem=problem, control=control,
-                              coefficients=coeffs,
-                              residuals=mom - np.asarray(problem.targets),
-                              gram_condition=float(doc["gram_condition"]))
-
-
-def _exponential_sum_control(freqs, coeffs, T, n_steps) -> ControlSignal:
-    terms = tuple((-f, c) for f, c in zip(freqs, coeffs))
-    return ControlSignal.from_terms(terms, T, n_steps)
-
 
 def solve(problem: MomentProblem, condition_cap: float = 1e12,
           n_steps: int = DEFAULT_STEPS) -> MomentSolution:
     """Least-norm real exponential-sum solution of the moment problem."""
-    sym = symmetrize(problem)
-    freqs = np.asarray(sym.frequencies)
-    y = np.asarray(sym.targets)
-    G = _gram(freqs, sym.horizon)
-    eig = np.linalg.eigvalsh(G)
-    # a Gram matrix rounded to a non-positive eigenvalue is singular
-    condition = float(eig[-1] / eig[0]) if eig[0] > 0.0 else np.inf
-    if condition > condition_cap:
-        raise IllConditionedError(
-            f"Gram condition {condition:.3e} (smallest eigenvalue "
-            f"{eig[0]:.3e}) above cap {condition_cap:.1e}; enlarge T or "
-            "drop modes", condition=condition)
-    c = _cholesky_solve(G, y)
-    # roundoff in ill-conditioned solves breaks the exact conjugate pairing
-    # c(-mu) = conj(c(mu)) that makes the signal real; the symmetrized
-    # frequencies are sorted, so the reflection is a reversal
-    c = 0.5 * (c + np.conj(c[::-1]))
-    control = _exponential_sum_control(freqs, c, sym.horizon, n_steps)
-    return MomentSolution(problem=sym, control=control, coefficients=c,
-                          residuals=G @ c - y, gram_condition=condition)
+    inverse = MomentInverse(problem.horizon, problem.frequencies,
+                            condition_cap)
+    y = inverse.scatter(problem.targets)
+    c = inverse.coefficients(problem.targets)
+    return MomentSolution(
+        problem=MomentProblem(problem.horizon, tuple(inverse.frequencies),
+                              tuple(y)),
+        control=ControlSignal.from_terms(zip(-inverse.frequencies, c),
+                                         problem.horizon, n_steps),
+        coefficients=c, residuals=inverse.gram @ c - y, inverse=inverse)
 
 
 def bessel_diagnostic(frequencies, T: float) -> float:

@@ -175,25 +175,6 @@ class ControlSignal:
         sq = self.samples**2
         return float(np.sqrt(np.trapezoid(sq, dx=self.step)))
 
-    def __add__(self, other: "ControlSignal") -> "ControlSignal":
-        if (other.horizon != self.horizon
-                or other.samples.size != self.samples.size):
-            raise DomainError("control signals live on different grids")
-        parametric = None
-        if self.parametric is not None and other.parametric is not None:
-            merged = {}
-            for f, a in self.parametric + other.parametric:
-                merged[f] = merged.get(f, 0.0j) + a
-            parametric = tuple(sorted(merged.items()))
-        return ControlSignal(self.horizon, self.samples + other.samples,
-                             parametric)
-
-    def scaled(self, factor: float) -> "ControlSignal":
-        parametric = None
-        if self.parametric is not None:
-            parametric = tuple((f, factor * a) for f, a in self.parametric)
-        return ControlSignal(self.horizon, factor * self.samples, parametric)
-
     @staticmethod
     def zero(horizon: float, n_steps: int = DEFAULT_STEPS) -> "ControlSignal":
         return ControlSignal(horizon, np.zeros(n_steps + 1), ((0.0, 0.0j),))
@@ -339,7 +320,7 @@ class Propagator:
         self._w, self._V = np.linalg.eigh(self.B)
 
     def _split_factors(self, u: ControlSignal, v: ControlSignal | None = None,
-                       epsilons=(), reverse: bool = False):
+                       epsilons=(), reverse: bool = False, mids=None):
         """Factors of the Strang product in the eigenbasis of B: the
         half-phase H, the transpose W^T of the merged unitary W = V^H H^2 V,
         and a callable that yields (m0, D, G) for a block of steps m0,
@@ -349,10 +330,11 @@ class Propagator:
         reverse negates the generator and reads u backwards.  With a
         direction v (forward only), D[j] holds the phase rows of u, of u + e v for each e in
         epsilons and of u again (the tangent row), and G[j] the gaps
-        D(u + e v) - D(u) for each e and the derivative -i h v w D(u)."""
+        D(u + e v) - D(u) for each e and the derivative -i h v w D(u).
+        mids, when given, are the midpoint values of u."""
         sign = -1.0 if reverse else 1.0
         h = u.step
-        mids = u.midpoint_values()
+        mids = u.midpoint_values() if mids is None else mids
         if reverse:
             mids = mids[::-1]
         half = np.exp(-0.5j * sign * h * self.lam)
@@ -411,13 +393,15 @@ class Propagator:
         if psi0.size != self.indices.size:
             raise DomainError("state truncation does not match propagator")
         times = u.times if store_trajectory else np.asarray([0.0, u.horizon])
-        if u.vanishes():
+        mids = u.midpoint_values()
+        if not np.any(mids):
             states = np.multiply.outer(times,
                                        (1j if reverse else -1j) * self.lam)
             np.exp(states, out=states)
             states *= psi0.coefficients
             return Trajectory(times=times, states=states, model=self.model)
-        half, WT, phase_blocks = self._split_factors(u, reverse=reverse)
+        half, WT, phase_blocks = self._split_factors(u, reverse=reverse,
+                                                     mids=mids)
         n = u.n_steps
         states = np.empty((n + 1 if store_trajectory else 2, psi0.size),
                           dtype=complex)

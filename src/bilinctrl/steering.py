@@ -3,7 +3,9 @@
 Pipeline: project the error onto the tangent space of the unit sphere at the
 evolved eigenmode, invert the linearized endpoint map through the moment
 solver, and iterate the correction (a quasi-Newton loop with the
-linearization frozen at the eigensolution).
+linearization frozen at the eigensolution).  Frozen, the moment family is
+factored by the first solve of a steer call, and each later iteration costs
+two triangular solves; the coefficients add up in one exponential sum.
 """
 
 from __future__ import annotations
@@ -40,18 +42,13 @@ def project_tangent(psi: StateVector, l: int, T: float) -> StateVector:
     return psi - phi.scaled(pairing)
 
 
-def linearized_control(target: StateVector, model: SpectralModel,
-                       mu: PiecewisePotential, l: int, T: float, K: int,
-                       n_steps: int = DEFAULT_STEPS,
-                       condition_cap: float = 1e12) -> ControlSignal:
-    """Control whose linearized endpoint (around the eigensolution at mode l)
-    is the given tangent-space target, built from the moment targets
-
-        x_k = i e^{i lambda_k T} <target, phi_k> / <mu phi_l, phi_k>
-
-    over the first K modes; tail modes carry implicit zero targets."""
-    model.check_index(l)
-    table = coefficient_table(mu, model, l, K)
+def _moment_targets(model: SpectralModel, mu: PiecewisePotential, l: int,
+                    T: float, K: int):
+    """The moment family lambda_k - lambda_l of the first K modes, and the
+    map from a target state to the moment targets around the eigensolution
+    at mode l, x_k = i e^{i lambda_k T} <target, phi_k> / <mu phi_l, phi_k>;
+    tail modes carry implicit zero targets."""
+    table = coefficient_table(mu, model, l, K)  # checks the index l
     ks, b = table.indices, table.values
     vanishing = np.flatnonzero(np.abs(b) < _COEFFICIENT_FLOOR)
     if vanishing.size:
@@ -59,15 +56,29 @@ def linearized_control(target: StateVector, model: SpectralModel,
         raise ControllabilityDefectError(
             f"coupling coefficient at mode {k} vanishes; the moment "
             "target is undefined", index=k)
-    pos = window_position(model, target.size, ks)
     lam_k = eigenvalue(model, ks)
-    targets = 1j * np.exp(1j * lam_k * T) * target.coefficients[pos] / b
-    if np.all(np.abs(targets) < 1e-15):
+    phase = 1j * np.exp(1j * lam_k * T)
+
+    def targets(target: StateVector) -> np.ndarray:
+        pos = window_position(model, target.size, ks)
+        return phase * target.coefficients[pos] / b
+
+    return tuple(lam_k - eigenvalue(model, l)), targets
+
+
+def linearized_control(target: StateVector, model: SpectralModel,
+                       mu: PiecewisePotential, l: int, T: float, K: int,
+                       n_steps: int = DEFAULT_STEPS,
+                       condition_cap: float = 1e12) -> ControlSignal:
+    """Control whose linearized endpoint (around the eigensolution at mode l)
+    is the given tangent-space target, from the moment targets over the
+    first K modes."""
+    freqs, moment_targets = _moment_targets(model, mu, l, T, K)
+    x = moment_targets(target)
+    if np.all(np.abs(x) < 1e-15):
         return ControlSignal.zero(T, n_steps)
-    problem = MomentProblem(T, tuple(lam_k - eigenvalue(model, l)),
-                            tuple(targets))
-    solution = solve(problem, condition_cap=condition_cap, n_steps=n_steps)
-    return solution.control
+    return solve(MomentProblem(T, freqs, tuple(x)),
+                 condition_cap=condition_cap, n_steps=n_steps).control
 
 
 @dataclass(frozen=True)
@@ -140,6 +151,7 @@ def steer(problem: SteeringProblem, K: int, N: int | None = None,
     prop = Propagator(model, problem.mu, N)
     controlled = window_position(model, N, index_window(model, K))
     u = ControlSignal.zero(problem.T, n_steps)
+    moment_targets = inverse = None
     history = []
     while True:
         psi_T = prop.endpoint(problem.psi0, u)
@@ -154,9 +166,27 @@ def steer(problem: SteeringProblem, K: int, N: int | None = None,
             raise NonConvergenceError(
                 "steering residual grew two iterations in a row",
                 history=history)
-        r_window = StateVector(model, r.coefficients[controlled])
-        u = u + linearized_control(r_window, model, problem.mu, problem.l,
-                                   problem.T, K, n_steps=n_steps)
+        if moment_targets is None:
+            freqs, moment_targets = _moment_targets(
+                model, problem.mu, problem.l, problem.T, K)
+        x = moment_targets(StateVector(model, r.coefficients[controlled]))
+        if np.all(np.abs(x) < 1e-15):
+            continue
+        if inverse is None:
+            # the first solve factors the frozen family for every later one
+            solution = solve(MomentProblem(problem.T, freqs, tuple(x)),
+                             n_steps=n_steps)
+            inverse, c = solution.inverse, solution.coefficients
+            # u = sum_j a_j e^{i f_j t} over the ascending f = -mu, with the
+            # zero frequency of the zero start always present
+            neg = 0.0 - inverse.frequencies  # -mu, its zero kept +0.0
+            f = np.sort(np.append(neg, np.zeros(int(0.0 not in neg))))
+            slots = np.searchsorted(f, neg)
+            amps = np.zeros(f.size, dtype=complex)
+        else:
+            c = inverse.coefficients(x)
+        amps[slots] += c
+        u = ControlSignal.from_terms(zip(f, amps), problem.T, n_steps)
 
 
 def perturbed_target(model: SpectralModel, N: int, l: int, T: float,

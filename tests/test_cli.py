@@ -76,6 +76,12 @@ def test_moments_solve_from_config(tmp_path):
     doc = read_json(str(tmp_path / "moments.json"))
     assert doc["residual_max"] < 1e-8
     assert "config_hash" in doc
+    # the symmetrized problem that was solved, and its grid
+    assert doc["T"] == 1.0
+    assert doc["frequencies"] == [-8.0, -3.0, 0.0, 3.0, 8.0]
+    assert doc["targets_re"] == [-0.2, 0.1, 0.5, 0.1, -0.2]
+    assert doc["targets_im"] == [-0.3, -0.2, 0.0, 0.2, 0.3]
+    assert doc["n_steps"] == 4096
 
 
 def _transition_family(model, l, K, seed):
@@ -260,6 +266,47 @@ def test_unknown_config_key_is_rejected(tmp_path):
     path.write_text(json.dumps({"numerics": {"N": 8, "bogus": 1}}))
     assert _run(["spectrum", "--config", str(path),
                  "-o", str(tmp_path)]) == 1
+
+
+_INDICATOR = {"preset": None, "breakpoints": [0.5], "domain": "unit_interval"}
+
+
+@pytest.mark.parametrize("verb, doc, message", [
+    (verb, {"numerics": {"N": "abc"}},
+     "bad value 'abc' for key 'N' in section 'numerics'")
+    for verb in ("simulate", "steer", "spectrum")
+] + [
+    ("steer", {"numerics": {"K": 2.5}},
+     "bad value 2.5 for key 'K' in section 'numerics'"),
+    ("steer", {"numerics": {"N": True}},
+     "bad value True for key 'N' in section 'numerics'"),
+    ("steer", {"task": {"T": "x"}},
+     "bad value 'x' for key 'T' in section 'task'"),
+    ("coeffs", {"model": {"l": None}},
+     "bad value None for key 'l' in section 'model'"),
+    ("coeffs", {"potential": {**_INDICATOR, "pieces": [[1.0, "x"], [0.0]]}},
+     "bad value [[1.0, 'x'], [0.0]] for key 'pieces' in section "
+     "'potential'"),
+    ("coeffs", {"potential": {**_INDICATOR, "pieces": [1.0, 0.0]}},
+     "bad value [1.0, 0.0] for key 'pieces' in section 'potential'"),
+    ("moments-solve", {"task": {"frequencies": 2.0}},
+     "bad value 2.0 for key 'frequencies' in section 'task'"),
+], ids=["N-simulate", "N-steer", "N-spectrum", "K-float", "N-bool", "T",
+        "l-null", "piece-string", "piece-scalar", "frequencies-scalar"])
+def test_a_value_of_the_wrong_type_is_a_config_error(verb, doc, message,
+                                                     tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert _run([verb, "--config", str(path), "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_values_are_checked_not_converted():
+    # an integer horizon stays an integer, so the config hashes as written
+    cfg = load_config({"task": {"T": 1}})
+    assert cfg.task.T == 1 and isinstance(cfg.task.T, int)
+    assert cfg.hash() == "861c256791875f54"
+    assert load_config({"task": {"T": 1.0}}).hash() == "8269925be980eac7"
 
 
 def test_malformed_json_is_rejected(tmp_path, capsys):

@@ -1,7 +1,5 @@
-"""Trigonometric moment problems: Gram solves, symmetrization, round trips,
+"""Trigonometric moment problems: Gram solves, symmetrization,
 conditioning, and frame diagnostics."""
-
-import json
 
 import numpy as np
 import pytest
@@ -11,11 +9,17 @@ from scipy.integrate import quad
 from scipy.interpolate import BarycentricInterpolator
 
 from bilinctrl.errors import DegeneracyError, DomainError, IllConditionedError
-from bilinctrl.moments import (MomentProblem, MomentSolution,
-                               bessel_diagnostic, moments, solve, symmetrize)
+from bilinctrl.moments import (MomentProblem, bessel_diagnostic, moments,
+                               solve, symmetrize)
 from bilinctrl.integrals import poly_exp_integral
-from bilinctrl.propagator import DEFAULT_STEPS, ControlSignal, _panel_weights
+from bilinctrl.propagator import ControlSignal, _panel_weights
 from bilinctrl.spectral import SpectralModel, transition_frequencies
+
+
+def _sum(a, b):
+    """The control a + b on their shared grid, with both term lists."""
+    return ControlSignal(a.horizon, a.samples + b.samples,
+                         a.parametric + b.parametric)
 
 
 def _quad_moment(u, omega):
@@ -299,9 +303,9 @@ class TestSolve:
             corr = solve(MomentProblem(
                 1.0, (0.0, 2.0), (complex(m[0].real) * -1.0, -m[1])),
                 n_steps=4096)
-            kernel_dir = pert + corr.control
+            kernel_dir = _sum(pert, corr.control)
             assert np.max(np.abs(moments(kernel_dir, all_freqs))) < 1e-9
-            assert (sol.control + kernel_dir).l2_norm() > base - 1e-9
+            assert _sum(sol.control, kernel_dir).l2_norm() > base - 1e-9
 
     def test_conditioning_improves_with_longer_horizon(self):
         # [PAPER] harmonic gap-2 frequencies: horizon above the critical
@@ -320,30 +324,6 @@ class TestSolve:
             solve(MomentProblem(0.9 * np.pi, freqs, targets),
                   condition_cap=1e6)
         assert err.value.condition > 1e6
-
-    def test_json_round_trip(self, tmp_path):
-        sol = solve(MomentProblem(1.0, (0.0, 2.0, 5.0),
-                                  (1.0, 0.5 + 0.5j, -0.25j)))
-        path = tmp_path / "solution.json"
-        path.write_text(sol.to_json())
-        back = MomentSolution.from_json(path.read_text())
-        assert back.problem.frequencies == sol.problem.frequencies
-        assert np.allclose(back.coefficients, sol.coefficients)
-        assert back.gram_condition == pytest.approx(sol.gram_condition)
-        # G @ c - y and moments(control) - y are one kernel product
-        assert np.array_equal(back.residuals, sol.residuals)
-
-    def test_json_round_trip_keeps_the_grid(self):
-        sol = solve(MomentProblem(1.0, (0.0, 2.0, 5.0),
-                                  (1.0, 0.5 + 0.5j, -0.25j)), n_steps=1024)
-        back = MomentSolution.from_json(sol.to_json())
-        assert back.control.n_steps == 1024
-        assert np.array_equal(back.control.samples, sol.control.samples)
-        # a file written without the grid loads on the default one
-        doc = json.loads(sol.to_json())
-        del doc["n_steps"]
-        old = MomentSolution.from_json(json.dumps(doc))
-        assert old.control.n_steps == DEFAULT_STEPS
 
 
 def _real_terms(freqs, amps):

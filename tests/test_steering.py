@@ -197,6 +197,24 @@ class TestSteer:
         final = prop.endpoint(basis_state(DIRICHLET, N, 1), report.control)
         assert abs(final.norm() - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("N", [20, 1])
+    def test_one_gram_factorization_per_steer(self, monkeypatch, N):
+        # the linearization is frozen at the eigensolution, so every
+        # correction reuses the moment family factored for the first one
+        calls = {"eigvalsh": 0, "cholesky": 0}
+        for name, original in [(n, getattr(np.linalg, n)) for n in calls]:
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        T = 0.4
+        psi1 = perturbed_target(DIRICHLET, N, 1, T, delta=1e-2, seed=0)
+        problem = SteeringProblem(DIRICHLET, dirichlet_example(), 1, T,
+                                  basis_state(DIRICHLET, N, 1), psi1)
+        report = steer(problem, K=N)
+        assert report.converged and report.iterations >= 2
+        assert calls == {"eigvalsh": 1, "cholesky": 1}
+
     def test_control_window_cannot_exceed_simulation(self):
         N = 10
         psi1 = perturbed_target(DIRICHLET, N, 1, 0.4, delta=1e-2, seed=1)
