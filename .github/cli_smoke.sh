@@ -84,3 +84,8 @@ typed steer '{"numerics": {"K": 2.5}}'
 typed steer '{"task": {"T": "x"}}'
 typed coeffs '{"model": {"l": null}}'
 typed coeffs '{"potential": {"preset": null, "breakpoints": [0.5], "pieces": [[1.0, "x"], [0.0]]}}'
+
+# a control entry of the wrong type and moment data of different lengths are
+# configuration errors too
+typed simulate '{"task": {"control": {"type": "terms", "terms": [[1.0, 0.5]]}}}'
+typed moments-solve '{"task": {"T": 1.0, "frequencies": [1.0, 2.0], "targets_re": [1.0, 1.0], "targets_im": [0.0, 0.0, 5.0]}}'

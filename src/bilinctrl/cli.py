@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config_file
+from .config import ExperimentConfig, _fits, load_config_file
 from .errors import BilinearControlError, ConfigError
 from .moments import MomentProblem, moments, solve
 from .potentials import (BoundWeight, coefficient_table,
@@ -98,11 +98,17 @@ def _control_from_task(cfg: ExperimentConfig) -> ControlSignal:
         raise ConfigError(f"unknown control key(s) {sorted(extra)}")
     if kind == "zero":
         return ControlSignal.zero(T, n)
-    if kind == "constant":
-        return ControlSignal.constant(float(spec.get("value", 0.0)), T, n)
-    return ControlSignal.from_terms([(float(f), complex(re, im))
-                                     for f, re, im in spec.get("terms", ())],
-                                    T, n)
+    key = _CONTROL_KEYS[kind][0]
+    value = spec.get(key, 0.0 if kind == "constant" else [])
+    if kind == "constant" and _fits(value, "float"):
+        return ControlSignal.constant(value, T, n)
+    if kind == "terms" and isinstance(value, list) and all(
+            isinstance(t, list) and len(t) == 3
+            and _fits(tuple(t), "tuple[float, ...]") for t in value):
+        return ControlSignal.from_terms([(f, complex(re, im))
+                                         for f, re, im in value], T, n)
+    raise ConfigError(f"bad value {value!r} for key {key!r} in section "
+                      "'task.control'")
 
 
 def _band_limited(rng, T: float, n_steps: int, n_terms: int = 4,
@@ -254,6 +260,10 @@ def _cmd_moments_solve(cfg, out):
     task = cfg.task
     if task.frequencies or task.targets_re or task.targets_im:
         freqs = task.frequencies
+        lengths = tuple(map(len, (freqs, task.targets_re, task.targets_im)))
+        if len(set(lengths)) > 1:
+            raise ConfigError("task frequencies, targets_re and targets_im "
+                              "have lengths %d, %d and %d" % lengths)
         targets = tuple(complex(re, im) for re, im in
                         zip(task.targets_re, task.targets_im))
     else:

@@ -138,8 +138,8 @@ def steer(problem: SteeringProblem, K: int, N: int | None = None,
 
     Each iteration simulates the current control, projects the endpoint
     mismatch to the tangent space, and adds the linearized exact control for
-    that mismatch; the loop stops after max_iters corrections.  Residuals
-    are measured in the model's H^1-type norm.  Raises NonConvergenceError
+    it, up to max_iters corrections and while a moment target exceeds 1e-15.
+    Residuals are in the model's H^1-type norm.  Raises NonConvergenceError
     (with the residual history) when the residual grows twice in a row.
     """
     if N is None:
@@ -159,9 +159,7 @@ def steer(problem: SteeringProblem, K: int, N: int | None = None,
         res = sobolev_norm(r, norm)
         history.append(res)
         if res <= problem.tolerance or len(history) > problem.max_iters:
-            return SteeringReport(control=u, residuals=history,
-                                  converged=res <= problem.tolerance,
-                                  final_error=res, norm=norm)
+            break
         if len(history) >= 3 and history[-1] > history[-2] > history[-3]:
             raise NonConvergenceError(
                 "steering residual grew two iterations in a row",
@@ -170,8 +168,9 @@ def steer(problem: SteeringProblem, K: int, N: int | None = None,
             freqs, moment_targets = _moment_targets(
                 model, problem.mu, problem.l, problem.T, K)
         x = moment_targets(StateVector(model, r.coefficients[controlled]))
+        # no correction: the control, and so the residual, cannot change
         if np.all(np.abs(x) < 1e-15):
-            continue
+            break
         if inverse is None:
             # the first solve factors the frozen family for every later one
             solution = solve(MomentProblem(problem.T, freqs, tuple(x)),
@@ -187,6 +186,9 @@ def steer(problem: SteeringProblem, K: int, N: int | None = None,
             c = inverse.coefficients(x)
         amps[slots] += c
         u = ControlSignal.from_terms(zip(f, amps), problem.T, n_steps)
+    return SteeringReport(control=u, residuals=history,
+                          converged=res <= problem.tolerance,
+                          final_error=res, norm=norm)
 
 
 def perturbed_target(model: SpectralModel, N: int, l: int, T: float,

@@ -261,6 +261,20 @@ def test_non_finite_moment_data_is_a_domain_error(task, message, tmp_path,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_moment_data_of_different_lengths_is_a_config_error(tmp_path,
+                                                           capsys):
+    task = {"T": 1.0, "frequencies": [1.0, 2.0], "targets_re": [1.0, 1.0],
+            "targets_im": [0.0, 0.0, 5.0]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"task": task}))
+    assert _run(["moments-solve", "--config", str(path),
+                 "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: task frequencies, targets_re and targets_im have lengths "
+        "2, 2 and 3\n")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_unknown_config_key_is_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"numerics": {"N": 8, "bogus": 1}}))
@@ -330,7 +344,17 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     ({"type": "zero", "value": 1.0}, "unknown control key(s) ['value']"),
     ({"type": "constant", "value": 1.0, "slope": 2},
      "unknown control key(s) ['slope']"),
-], ids=["type", "unhashable-type", "zero-key", "constant-key"])
+    ({"type": "constant", "value": "abc"},
+     "bad value 'abc' for key 'value' in section 'task.control'"),
+    ({"type": "terms", "terms": [[1.0, "x", 0.0]]},
+     "bad value [[1.0, 'x', 0.0]] for key 'terms' in section "
+     "'task.control'"),
+    ({"type": "terms", "terms": [[1.0, 0.5]]},
+     "bad value [[1.0, 0.5]] for key 'terms' in section 'task.control'"),
+    ({"type": "terms", "terms": 1.0},
+     "bad value 1.0 for key 'terms' in section 'task.control'"),
+], ids=["type", "unhashable-type", "zero-key", "constant-key",
+        "value-string", "term-string", "term-pair", "terms-scalar"])
 def test_malformed_control_is_a_config_error(control, message, tmp_path,
                                              capsys):
     path = tmp_path / "cfg.json"

@@ -434,6 +434,9 @@ class TestEndpointDifferences:
 
     @pytest.mark.parametrize("model,mu,l,N", [
         (DIRICHLET, dirichlet_example(), 1, 32),
+        # one and two modes: the 2 x 2 and 4 x 4 real embeddings of W^T
+        (DIRICHLET, dirichlet_example(), 1, 1),
+        (DIRICHLET, dirichlet_example(), 1, 2),
         # the periodic window at N = 64 holds 65 modes
         (PERIODIC, periodic_example(), 0, 64),
         (NEUMANN, neumann_example(), 0, 24),

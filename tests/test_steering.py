@@ -215,6 +215,33 @@ class TestSteer:
         assert report.converged and report.iterations >= 2
         assert calls == {"eigvalsh": 1, "cholesky": 1}
 
+    def test_a_mismatch_outside_the_controlled_modes_stops_at_once(
+            self, monkeypatch):
+        # psi1 leaves the evolved eigenmode only in mode 4, beyond the K = 2
+        # controlled modes, so every moment target is below 1e-15 and no
+        # correction can change the control
+        N, K, l, T = 4, 2, 1, 0.4
+        coeffs = eigensolution(DIRICHLET, N, l, T).coefficients
+        coeffs[3] = 1e-3
+        psi1 = StateVector(DIRICHLET, coeffs / np.linalg.norm(coeffs))
+        problem = SteeringProblem(DIRICHLET, dirichlet_example(), l, T,
+                                  basis_state(DIRICHLET, N, l), psi1,
+                                  max_iters=5)
+        calls = []
+        endpoint = Propagator.endpoint
+
+        def counted(self, *args):
+            calls.append(1)
+            return endpoint(self, *args)
+
+        monkeypatch.setattr(Propagator, "endpoint", counted)
+        report = steer(problem, K=K, N=N, n_steps=256)
+        assert len(calls) == 1
+        assert report.residuals == [report.final_error]
+        assert report.final_error > problem.tolerance
+        assert not report.converged
+        assert report.control.vanishes()
+
     def test_control_window_cannot_exceed_simulation(self):
         N = 10
         psi1 = perturbed_target(DIRICHLET, N, 1, 0.4, delta=1e-2, seed=1)
