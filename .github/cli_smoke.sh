@@ -31,6 +31,15 @@ $BILINCTRL obstruction-scan --config indicator.json --K 1000 -o cli-smoke
 $BILINCTRL bound-check --K 100000 -o cli-smoke
 $BILINCTRL gaps --K 100000 -o cli-smoke
 
+# the bare steer (Dirichlet, N = 64, K = 20, T = 0.5) controls 20 of 64
+# modes; it must exit 0 and report its outcome, converged or not
+steer=$($BILINCTRL steer -o cli-smoke)
+echo "$steer"
+case "$steer" in
+  *'converged='*) ;;
+  *) exit 1 ;;
+esac
+
 # the README neumann_example scan vanishes at k = 1, so it must print no
 # ratio to that level
 scan=$($BILINCTRL obstruction-scan --model neumann --preset neumann_example --K 1000 -o cli-smoke)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -300,7 +301,9 @@ def _cmd_steer(cfg, out):
     path = os.path.join(out, "steering.json")
     write_json(path, json.loads(report.to_json()), cfg.hash())
     print(f"converged={report.converged} after {report.iterations} "
-          f"iterations, final error {report.final_error:.3e}")
+          f"iterations, final error {report.final_error:.3e} (window "
+          f"{report.window_residuals[-1]:.3e}, tail "
+          f"{report.tail_residuals[-1]:.3e})")
     return 0
 
 
@@ -396,7 +399,9 @@ def _apply_overrides(cfg: ExperimentConfig,
     return ExperimentConfig(output_dir=output_dir, **sections)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Every verb's parser, built once: parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="bilinctrl",
         description="Spectral experiments for bilinear quantum control: "
@@ -404,9 +409,12 @@ def main(argv=None) -> int:
                     "moment problems, and local steering.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        _add_overrides(p)
-    args = parser.parse_args(argv)
+        _add_overrides(sub.add_parser(name))
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = (load_config_file(args.config) if args.config
                else ExperimentConfig())

@@ -6,6 +6,8 @@ solver, and iterate the correction (a quasi-Newton loop with the
 linearization frozen at the eigensolution).  Frozen, the moment family is
 factored by the first solve of a steer call, and each later iteration costs
 two triangular solves; the coefficients add up in one exponential sum.
+The corrections target the K controlled modes (the window); the other N - K
+simulated modes (the tail) are reported beside them, not steered.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .errors import (ControllabilityDefectError, DomainError,
 from .moments import MomentProblem, solve
 from .potentials import PiecewisePotential, coefficient_table
 from .propagator import (DEFAULT_STEPS, ControlSignal, Propagator,
-                         SobolevNorm, StateVector, basis_state, sobolev_norm)
+                         SobolevNorm, StateVector, basis_state, sobolev_norm,
+                         sobolev_weights)
 from .spectral import (SpectralModel, eigenvalue, index_window,
                        window_position)
 
@@ -116,6 +119,8 @@ class SteeringReport:
     converged: bool
     final_error: float
     norm: SobolevNorm
+    window_residuals: list  # the K controlled modes' part of each residual
+    tail_residuals: list    # the other N - K modes' part
 
     @property
     def iterations(self) -> int:
@@ -125,6 +130,8 @@ class SteeringReport:
         return json.dumps({
             "iterations": list(range(len(self.residuals))),
             "residual_h1": [float(r) for r in self.residuals],
+            "residual_window_h1": [float(r) for r in self.window_residuals],
+            "residual_tail_h1": [float(r) for r in self.tail_residuals],
             "control_l2_norm": self.control.l2_norm(),
             "converged": self.converged,
             "final_error": self.final_error,
@@ -139,8 +146,11 @@ def steer(problem: SteeringProblem, K: int, N: int | None = None,
     Each iteration simulates the current control, projects the endpoint
     mismatch to the tangent space, and adds the linearized exact control for
     it, up to max_iters corrections and while a moment target exceeds 1e-15.
-    Residuals are in the model's H^1-type norm.  Raises NonConvergenceError
-    (with the residual history) when the residual grows twice in a row.
+    Residuals are in the model's H^1-type norm, each split into the window
+    of the K controlled modes and the tail of the rest.  Returns unconverged
+    once window <= tolerance < tail, as no correction targets the tail.
+    Raises NonConvergenceError (with the residual history) when the residual
+    grows twice in a row.
     """
     if N is None:
         N = K
@@ -150,15 +160,23 @@ def steer(problem: SteeringProblem, K: int, N: int | None = None,
     norm = model.kind.laws.h1_norm
     prop = Propagator(model, problem.mu, N)
     controlled = window_position(model, N, index_window(model, K))
+    weights = sobolev_weights(model, N, norm)
     u = ControlSignal.zero(problem.T, n_steps)
     moment_targets = inverse = None
-    history = []
+    history, windows, tails = [], [], []
+    tol = problem.tolerance
     while True:
         psi_T = prop.endpoint(problem.psi0, u)
         r = project_tangent(problem.psi1 - psi_T, problem.l, problem.T)
-        res = sobolev_norm(r, norm)
+        wr = weights * r.coefficients  # as sobolev_norm weighs them
+        res = float(np.linalg.norm(wr))
+        window = float(np.linalg.norm(wr[controlled]))
+        tail = float(np.linalg.norm(np.delete(wr, controlled)))
         history.append(res)
-        if res <= problem.tolerance or len(history) > problem.max_iters:
+        windows.append(window)
+        tails.append(tail)
+        if (res <= tol or len(history) > problem.max_iters
+                or window <= tol < tail):
             break
         if len(history) >= 3 and history[-1] > history[-2] > history[-3]:
             raise NonConvergenceError(
@@ -186,9 +204,9 @@ def steer(problem: SteeringProblem, K: int, N: int | None = None,
             c = inverse.coefficients(x)
         amps[slots] += c
         u = ControlSignal.from_terms(zip(f, amps), problem.T, n_steps)
-    return SteeringReport(control=u, residuals=history,
-                          converged=res <= problem.tolerance,
-                          final_error=res, norm=norm)
+    return SteeringReport(control=u, residuals=history, converged=res <= tol,
+                          final_error=res, norm=norm,
+                          window_residuals=windows, tail_residuals=tails)
 
 
 def perturbed_target(model: SpectralModel, N: int, l: int, T: float,

@@ -641,6 +641,19 @@ def test_steer_converges_off_dirichlet(args, tmp_path):
     assert doc["final_error"] < 1e-8
 
 
+def test_bare_steer_stops_when_only_the_tail_is_left(tmp_path, capsys):
+    # the defaults (Dirichlet, N = 64, K = 20, T = 0.5) control 20 of 64
+    # modes: the window converges, the tail plateaus, and the verb reports
+    # that unconverged outcome with exit 0
+    assert _run(["steer", "-o", str(tmp_path)]) == 0
+    assert "converged=False" in capsys.readouterr().out
+    doc = read_json(str(tmp_path / "steering.json"))
+    assert not doc["converged"]
+    for key in ("residual_window_h1", "residual_tail_h1"):
+        assert len(doc[key]) == len(doc["residual_h1"])
+    assert doc["residual_window_h1"][-1] <= 1e-8 < doc["residual_tail_h1"][-1]
+
+
 def test_steer_names_the_vanishing_neumann_mode(tmp_path, capsys):
     # neumann_example is the obstruction: its coupling to mode 1 vanishes
     assert _run(["steer", "--model", "neumann", "--preset", "neumann_example",

@@ -1,6 +1,8 @@
 """Local steering loop: tangent projection, linearized inversion,
 quasi-Newton contraction, and endpoint differentiability."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,60 @@ class TestSteer:
         assert not report.converged
         assert report.control.vanishes()
 
+    def test_only_the_tail_left_stops_unconverged(self, monkeypatch):
+        # with K = 20 of N = 24 the window converges while the tail modes
+        # 21..24, excited at second order, plateau above the tolerance:
+        # the loop stops after 2 corrections, not after max_iters
+        N, K, T = 24, 20, 0.4
+        psi1 = perturbed_target(DIRICHLET, N, 1, T, delta=1e-2, seed=0, K=K)
+        problem = SteeringProblem(DIRICHLET, dirichlet_example(), 1, T,
+                                  basis_state(DIRICHLET, N, 1), psi1,
+                                  max_iters=6)
+        calls = []
+        endpoint = Propagator.endpoint
+
+        def counted(self, *args):
+            calls.append(1)
+            return endpoint(self, *args)
+
+        monkeypatch.setattr(Propagator, "endpoint", counted)
+        report = steer(problem, K=K, N=N)
+        assert len(calls) == 3
+        assert report.iterations == 2
+        tol = problem.tolerance
+        assert report.window_residuals[-1] <= tol < report.tail_residuals[-1]
+        assert report.final_error == report.residuals[-1] > tol
+        assert not report.converged
+
+    @pytest.mark.parametrize("model,mu,l,N,K", [
+        (DIRICHLET, dirichlet_example(), 1, 24, 20),
+        (PERIODIC, periodic_example(), 0, 15, 11),
+    ])
+    def test_window_and_tail_split_the_residual(self, model, mu, l, N, K):
+        T = 0.4
+        psi1 = perturbed_target(model, N, l, T, delta=1e-2, seed=1, K=K)
+        problem = SteeringProblem(model, mu, l, T, basis_state(model, N, l),
+                                  psi1, max_iters=3)
+        report = steer(problem, K=K, N=N, n_steps=1024)
+        assert len(report.window_residuals) == len(report.residuals)
+        assert len(report.tail_residuals) == len(report.residuals)
+        for r, w, t in zip(report.residuals, report.window_residuals,
+                           report.tail_residuals):
+            assert abs(w**2 + t**2 - r**2) <= 1e-12 * r**2
+        doc = json.loads(report.to_json())
+        assert doc["residual_window_h1"] == report.window_residuals
+        assert doc["residual_tail_h1"] == report.tail_residuals
+
+    def test_full_window_has_no_tail(self):
+        N, T = 20, 0.4
+        psi1 = perturbed_target(DIRICHLET, N, 1, T, delta=1e-2, seed=3)
+        problem = SteeringProblem(DIRICHLET, dirichlet_example(), 1, T,
+                                  basis_state(DIRICHLET, N, 1), psi1)
+        report = steer(problem, K=N)
+        assert report.converged and report.iterations >= 2
+        assert report.tail_residuals == [0.0] * len(report.residuals)
+        assert report.window_residuals == report.residuals
+
     def test_control_window_cannot_exceed_simulation(self):
         N = 10
         psi1 = perturbed_target(DIRICHLET, N, 1, 0.4, delta=1e-2, seed=1)
@@ -251,7 +307,6 @@ class TestSteer:
             steer(problem, K=12, N=10)
 
     def test_report_json_is_loadable(self):
-        import json
         N = 12
         psi1 = perturbed_target(DIRICHLET, N, 1, 0.4, delta=1e-2, seed=2)
         problem = SteeringProblem(DIRICHLET, dirichlet_example(), 1, 0.4,
