@@ -76,9 +76,19 @@ case "$res" in
   *) exit 1 ;;
 esac
 
-# sqrt(2k + 1) is not finite at negative periodic k, so the periodic model
-# rejects that weight
+# the weight sqrt(lambda_k) vanishes where lambda_k = 0: at k = 0 on the
+# periodic and the Neumann model, so both reject it
 fails_cleanly bound-check --model periodic_magnetic --drift 1 --preset periodic_example --l 0 --weight inverse_sqrt_lambda
+fails_cleanly bound-check --model neumann --preset neumann_example --l 0 --weight inverse_sqrt_lambda
+
+# on the Dirichlet model sqrt(lambda_k) = k pi, so its bound is pi times the
+# inverse_k one, with the same worst index
+bound=$($BILINCTRL bound-check --weight inverse_sqrt_lambda --K 50 -o cli-smoke)
+echo "$bound"
+case "$bound" in
+  *'worst_constant=1.66667 at k=5'*) ;;
+  *) exit 1 ;;
+esac
 
 # a config value of the wrong type is a configuration error: ints take no
 # float or string, floats no string, tuples only numbers

@@ -21,7 +21,7 @@ from .potentials import (BoundWeight, CoefficientMethod, CoefficientTable,
                          harmonic_coefficient_identity, indicator,
                          inner_product, neumann_example,
                          neumann_obstruction_scan, periodic_example,
-                         verify_lower_bound, zero_potential)
+                         verify_lower_bound)
 from .propagator import (ControlSignal, Propagator, SobolevNorm, StateVector,
                          Trajectory, basis_state, coupling_matrix,
                          sobolev_norm, sobolev_weights)

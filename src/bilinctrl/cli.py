@@ -19,7 +19,7 @@ from .potentials import (BoundWeight, coefficient_table,
                          harmonic_coefficient_identity,
                          neumann_obstruction_scan, verify_lower_bound,
                          weighted_moduli)
-from .propagator import (ControlSignal, Propagator, basis_state,
+from .propagator import (ControlSignal, Propagator, SobolevNorm, basis_state,
                          sobolev_weights)
 from .spectral import (ModelKind, check_resonance, eigenvalue, gap_analysis,
                        hermite_function_values, index_window)
@@ -232,7 +232,7 @@ def _cmd_simulate(cfg, out):
               (np.repeat(traj.times, nm), np.tile(ks, nt),
                traj.states.real.ravel(), traj.states.imag.ravel()),
               cfg.hash())
-    weights = sobolev_weights(model, cfg.numerics.N, model.kind.laws.h1_norm)
+    weights = sobolev_weights(model, cfg.numerics.N, SobolevNorm.H1)
     # one norm per row: an axis=1 norm sums in another order
     l2 = [np.linalg.norm(c) for c in traj.states]
     h1 = [np.linalg.norm(weights * c) for c in traj.states]

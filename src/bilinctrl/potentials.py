@@ -20,7 +20,7 @@ from .errors import DomainError
 from .integrals import adaptive_integral, poly_exp_integral
 from .spectral import (BoundWeight, ModelKind, SpectralModel,
                        eigenfunction_value, hermite_function_values,
-                       index_window, window_position)
+                       index_window)
 
 
 class PotentialDomain(enum.Enum):
@@ -112,11 +112,6 @@ def half_line_step(a: float) -> PiecewisePotential:
     """The potential 1_{[a, infinity)} on the real line."""
     return PiecewisePotential((a,), ((0.0,), (1.0,)),
                               PotentialDomain.REAL_LINE)
-
-
-def zero_potential(domain: PotentialDomain = PotentialDomain.UNIT_INTERVAL
-                   ) -> PiecewisePotential:
-    return PiecewisePotential((), ((0.0,),), domain)
 
 
 def dirichlet_example() -> PiecewisePotential:
@@ -266,10 +261,6 @@ class CoefficientTable:
     values: np.ndarray
     model: SpectralModel
 
-    def value(self, k: int) -> complex:
-        return complex(self.values[window_position(self.model,
-                                                   self.indices.size, k)])
-
 
 @functools.lru_cache(maxsize=128)
 def coefficient_table(mu: PiecewisePotential, model: SpectralModel, l: int,
@@ -288,8 +279,8 @@ def coefficient_table(mu: PiecewisePotential, model: SpectralModel, l: int,
 
 
 def weighted_moduli(table: CoefficientTable, weight: BoundWeight):
-    """|b_k| and |b_k| weight.multiplier(k) over the table.  np.hypot of the
-    parts is Python's abs(complex) bit for bit; np.abs is not.  Raises
+    """|b_k| and |b_k| weight.multiplier(k, model) over the table.  np.hypot
+    of the parts is Python's abs(complex) bit for bit; np.abs is not.  Raises
     DomainError for a weight the table's model does not accept."""
     model = table.model
     if weight not in model.kind.laws.weights:
@@ -298,7 +289,7 @@ def weighted_moduli(table: CoefficientTable, weight: BoundWeight):
             f"every index of the {model.kind.value} model, which takes "
             f"{', '.join(w.value for w in model.kind.laws.weights)}")
     modulus = np.hypot(table.values.real, table.values.imag)
-    return modulus, modulus * weight.multiplier(table.indices)
+    return modulus, modulus * weight.multiplier(table.indices, model)
 
 
 @dataclass(frozen=True)
@@ -365,7 +356,7 @@ class IdentityReport:
 def harmonic_tail_coefficient(a: float, k: int) -> float:
     """Closed form for the half-line overlap integral_a^inf phi_k phi_0 dx.
 
-    Row 0 of the tail-overlap identity
+    Row 0 of the tail-overlap identity of _tail_overlaps,
 
         2 (k - j) integral_a^inf phi_j phi_k
             = phi_j(a) phi_k'(a) - phi_k(a) phi_j'(a).
@@ -378,9 +369,7 @@ def harmonic_tail_coefficient(a: float, k: int) -> float:
     """
     if k < 1:
         raise DomainError("need k >= 1")
-    phi_prev = float(hermite_function_values(k - 1, a)[k - 1, 0])
-    return (np.pi ** (-0.25) * np.exp(-0.5 * a * a) * phi_prev
-            / np.sqrt(2.0 * k))
+    return _tail_overlaps(a, np.array([0]), k + 1)[0, k]
 
 
 def harmonic_coefficient_identity(a: float, k: int) -> IdentityReport:

@@ -52,8 +52,8 @@ import numpy as np
 from .errors import DomainError, ModelError, NumericError
 from .integrals import _exp_integral, poly_exp_integral
 from .potentials import PiecewisePotential, _coupling_block
-from .spectral import (SobolevNorm, SpectralModel, eigenvalue,
-                       hermite_function_values, index_window, window_position)
+from .spectral import (SobolevNorm, SpectralModel, eigenvalue, index_window,
+                       window_position)
 
 DEFAULT_STEPS = 4096
 
@@ -516,36 +516,16 @@ def _strang_steps(WT: np.ndarray, phase_blocks, Z0: np.ndarray,
     return Z
 
 
-def sobolev_weights(model: SpectralModel, N: int, norm: SobolevNorm,
-                    a: float | None = None) -> np.ndarray:
-    ks = index_window(model, N)
+def sobolev_weights(model: SpectralModel, N: int,
+                    norm: SobolevNorm) -> np.ndarray:
+    """The weight of each mode of the window: 1 in L2, the model's h1_weight
+    law in H1."""
+    ks = index_window(model, N).astype(float)
     if norm is SobolevNorm.L2:
-        return np.ones(ks.size)
-    if norm is SobolevNorm.H10:
-        return ks.astype(float)
-    if norm is SobolevNorm.H1P:
-        return np.maximum(1.0, np.abs(ks)).astype(float)
-    if norm is SobolevNorm.H1NEUMANN:
-        return np.maximum(1.0, ks).astype(float)
-    if norm is SobolevNorm.H1H:
-        return np.sqrt(2.0 * ks + 1.0)
-    if a is None:
-        raise DomainError("the half-line norm needs the breakpoint a")
-    excited = ks != 0
-    k = ks[excited]
-    phi = hermite_function_values(max(int(ks.max()) - 1, 0), a)[:, 0]
-    denom = np.abs(phi[k - 1])
-    small = np.flatnonzero(denom < 1e-14)
-    if small.size:
-        raise DomainError(
-            f"Hermite function {k[small[0]] - 1} vanishes at a={a}; the "
-            "half-line norm weight is undefined")
-    weights = np.ones(ks.size)
-    weights[excited] = np.sqrt(k.astype(float)) / denom
-    return weights
+        return np.ones_like(ks)
+    return model.kind.laws.h1_weight(ks)
 
 
-def sobolev_norm(psi: StateVector, norm: SobolevNorm,
-                 a: float | None = None) -> float:
-    weights = sobolev_weights(psi.model, psi.size, norm, a)
+def sobolev_norm(psi: StateVector, norm: SobolevNorm) -> float:
+    weights = sobolev_weights(psi.model, psi.size, norm)
     return float(np.linalg.norm(weights * psi.coefficients))

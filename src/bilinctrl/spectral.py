@@ -1,14 +1,17 @@
 """Spectral models for the four boundary setups.
 
 Whatever differs between the models is one field of the model's row in the
-table _LAWS (ModelLaws), which every other module reads:
+table _LAWS (ModelLaws), which every other module reads.  With the H^1-type
+weight w_k of mode k:
 
-* Dirichlet on (0,1):       k >= 1,  lambda_k = k^2 pi^2,  sqrt(2) sin(k pi x)
+* Dirichlet on (0,1):       k >= 1,  lambda_k = k^2 pi^2,  w_k = k,
+                            sqrt(2) sin(k pi x)
 * Periodic with drift u0:   k in Z,  lambda_k = 4 pi^2 k^2 - 2 pi u0 k,
-                            exp(2 i k pi x)
-* Neumann on (0,1):         k >= 0,  lambda_k = k^2 pi^2,  1 at k = 0 and
-                            sqrt(2) cos(k pi x) for k >= 1
-* Harmonic oscillator on R: k >= 0,  lambda_k = 2k + 1,  Hermite functions
+                            w_k = max(1, |k|),  exp(2 i k pi x)
+* Neumann on (0,1):         k >= 0,  lambda_k = k^2 pi^2,  w_k = max(1, k),
+                            1 at k = 0 and sqrt(2) cos(k pi x) for k >= 1
+* Harmonic oscillator on R: k >= 0,  lambda_k = 2k + 1,  w_k = sqrt(2k + 1),
+                            Hermite functions
 """
 
 from __future__ import annotations
@@ -35,30 +38,27 @@ class ModelKind(enum.Enum):
 
 class BoundWeight(enum.Enum):
     """Multiplier turning |<mu phi_l, phi_k>| into a candidate constant C in
-    the lower bounds C/k, C/(|k|+1), C/sqrt(2k+1)."""
+    the lower bounds C/|k|, C/(|k|+1), C/sqrt(lambda_k)."""
 
     INVERSE_K = "inverse_k"
     INVERSE_K_PLUS_1 = "inverse_k_plus_1"
     INVERSE_SQRT_LAMBDA = "inverse_sqrt_lambda"
 
-    def multiplier(self, k):
-        """The multiplier at index k (k may be an array)."""
+    def multiplier(self, k, model: "SpectralModel"):
+        """The multiplier at index k (k may be an array) of the model."""
         if self is BoundWeight.INVERSE_K:
             return np.abs(k).astype(float)
         if self is BoundWeight.INVERSE_K_PLUS_1:
             return (np.abs(k) + 1).astype(float)
-        return np.sqrt(2.0 * k + 1.0)
+        return np.sqrt(eigenvalue(model, k))
 
 
 class SobolevNorm(enum.Enum):
-    """Weighted little-l2 norms matching each model's H^1-type space."""
+    """Weighted little-l2 norms: L2, or the model's H^1-type space, whose
+    weights are the h1_weight law of its row of _LAWS."""
 
     L2 = "l2"
-    H10 = "h10"
-    H1P = "h1p"
-    H1NEUMANN = "h1neumann"
-    H1H = "h1h"
-    HHA = "hha"
+    H1 = "h1"
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class ModelLaws:
     eigenvalue: object  # lambda_k as (k, u0) -> array, k a float array
     eigenfunction: object  # phi_k(x) as (k, x) -> array, k an int
     fourier_scale: float | None  # s in the moments of mu e^{i m s x}
-    h1_norm: SobolevNorm
+    h1_weight: object  # the H^1-type weight w_k as k -> array, k a float array
     weights: tuple  # bound weights finite and > 0 on every k; default first
 
 
@@ -79,24 +79,24 @@ _LAWS = {
     ModelKind.DIRICHLET: ModelLaws(
         1, False, False, lambda k, u0: k**2 * np.pi**2,
         lambda k, x: np.sqrt(2.0) * np.sin(k * np.pi * x),
-        np.pi, SobolevNorm.H10,
+        np.pi, lambda k: k,
         (BoundWeight.INVERSE_K, BoundWeight.INVERSE_K_PLUS_1,
          BoundWeight.INVERSE_SQRT_LAMBDA)),
     ModelKind.PERIODIC_MAGNETIC: ModelLaws(
         None, True, False,
         lambda k, u0: 4.0 * np.pi**2 * k**2 - 2.0 * np.pi * u0 * k,
         lambda k, x: np.exp(2j * k * np.pi * x),
-        2.0 * np.pi, SobolevNorm.H1P, (BoundWeight.INVERSE_K_PLUS_1,)),
+        2.0 * np.pi, lambda k: np.maximum(1.0, np.abs(k)),
+        (BoundWeight.INVERSE_K_PLUS_1,)),
     ModelKind.NEUMANN: ModelLaws(
         0, False, False, lambda k, u0: k**2 * np.pi**2,
         lambda k, x: (np.ones_like(x) if k == 0
                       else np.sqrt(2.0) * np.cos(k * np.pi * x)),
-        np.pi, SobolevNorm.H1NEUMANN,
-        (BoundWeight.INVERSE_K_PLUS_1, BoundWeight.INVERSE_SQRT_LAMBDA)),
+        np.pi, lambda k: np.maximum(1.0, k), (BoundWeight.INVERSE_K_PLUS_1,)),
     ModelKind.HARMONIC: ModelLaws(
         0, False, True, lambda k, u0: 2.0 * k + 1.0,
         lambda k, x: hermite_function_values(k, x)[k].reshape(np.shape(x)),
-        None, SobolevNorm.H1H,
+        None, lambda k: np.sqrt(2.0 * k + 1.0),
         (BoundWeight.INVERSE_SQRT_LAMBDA, BoundWeight.INVERSE_K_PLUS_1)),
 }
 

@@ -157,10 +157,9 @@ def steer(problem: SteeringProblem, K: int, N: int | None = None,
     if K > N:
         raise DomainError("cannot control more modes than simulated")
     model = problem.model
-    norm = model.kind.laws.h1_norm
     prop = Propagator(model, problem.mu, N)
     controlled = window_position(model, N, index_window(model, K))
-    weights = sobolev_weights(model, N, norm)
+    weights = sobolev_weights(model, N, SobolevNorm.H1)
     u = ControlSignal.zero(problem.T, n_steps)
     moment_targets = inverse = None
     history, windows, tails = [], [], []
@@ -205,7 +204,7 @@ def steer(problem: SteeringProblem, K: int, N: int | None = None,
         amps[slots] += c
         u = ControlSignal.from_terms(zip(f, amps), problem.T, n_steps)
     return SteeringReport(control=u, residuals=history, converged=res <= tol,
-                          final_error=res, norm=norm,
+                          final_error=res, norm=SobolevNorm.H1,
                           window_residuals=windows, tail_residuals=tails)
 
 
@@ -225,7 +224,7 @@ def perturbed_target(model: SpectralModel, N: int, l: int, T: float,
     coeffs[window_position(model, N, ks)] = decay * (draws[:, 0]
                                                      + 1j * draws[:, 1])
     raw = project_tangent(StateVector(model, coeffs), l, T)
-    scale = delta / (2.0 * sobolev_norm(raw, model.kind.laws.h1_norm))
+    scale = delta / (2.0 * sobolev_norm(raw, SobolevNorm.H1))
     psi = eigensolution(model, N, l, T) + raw.scaled(scale)
     return psi.scaled(1.0 / psi.norm())
 

@@ -222,7 +222,7 @@ _REJECTED_WEIGHTS = [
           "periodic_example", "--l", "0"],
          ["inverse_k", "inverse_sqrt_lambda"]),
         (["--model", "neumann", "--preset", "neumann_example", "--l", "0"],
-         ["inverse_k"]),
+         ["inverse_k", "inverse_sqrt_lambda"]),
         (["--model", "harmonic", "--preset", "half_line_step", "--l", "0"],
          ["inverse_k"]),
     ] for weight in weights]

@@ -24,9 +24,9 @@ from bilinctrl.potentials import (BoundWeight, CoefficientMethod,
                                   harmonic_tail_coefficient, indicator,
                                   inner_product, neumann_example,
                                   neumann_obstruction_scan, periodic_example,
-                                  verify_lower_bound, weighted_moduli,
-                                  zero_potential)
-from bilinctrl.spectral import ModelKind, SpectralModel, eigenfunction_value
+                                  verify_lower_bound, weighted_moduli)
+from bilinctrl.spectral import (ModelKind, SpectralModel, eigenfunction_value,
+                                eigenvalue, index_window)
 
 DIRICHLET = SpectralModel.dirichlet()
 NEUMANN = SpectralModel.neumann()
@@ -77,7 +77,8 @@ class TestPiecewisePotential:
 class TestInnerProduct:
     def test_zero_potential_gives_zero(self):
         # [TRIVIAL]
-        assert inner_product(zero_potential(), DIRICHLET, 1, 5) == 0.0
+        zero = PiecewisePotential((), ((0.0,),))
+        assert inner_product(zero, DIRICHLET, 1, 5) == 0.0
 
     def test_dirichlet_example_first_even_coefficient(self):
         # printed value 2/(3 pi), times the sine normalization
@@ -187,15 +188,27 @@ class TestLowerBounds:
 
     def test_zero_potential_fails(self):
         # [TRIVIAL]
-        table = coefficient_table(zero_potential(), DIRICHLET, 1, 10)
+        zero = PiecewisePotential((), ((0.0,),))
+        table = coefficient_table(zero, DIRICHLET, 1, 10)
         report = verify_lower_bound(table, BoundWeight.INVERSE_K)
         assert not report.passed
         assert report.worst_constant == 0.0
 
     def test_weights_scale_as_documented(self):
-        assert BoundWeight.INVERSE_K.multiplier(-3) == 3.0
-        assert BoundWeight.INVERSE_K_PLUS_1.multiplier(3) == 4.0
-        assert BoundWeight.INVERSE_SQRT_LAMBDA.multiplier(4) == 3.0
+        assert BoundWeight.INVERSE_K.multiplier(-3, PERIODIC) == 3.0
+        assert BoundWeight.INVERSE_K_PLUS_1.multiplier(3, PERIODIC) == 4.0
+        assert BoundWeight.INVERSE_SQRT_LAMBDA.multiplier(4, HARMONIC) == 3.0
+
+    def test_dirichlet_sqrt_lambda_constants_are_pi_times_inverse_k(self):
+        # [PAPER] sqrt(lambda_k) = k pi on the Dirichlet model
+        table = coefficient_table(dirichlet_example(), DIRICHLET, 1, 50)
+        _, by_k = weighted_moduli(table, BoundWeight.INVERSE_K)
+        _, by_root = weighted_moduli(table, BoundWeight.INVERSE_SQRT_LAMBDA)
+        np.testing.assert_allclose(by_root, np.pi * by_k, rtol=1e-15)
+        report = verify_lower_bound(table, BoundWeight.INVERSE_SQRT_LAMBDA)
+        assert report.argmin_index == 5
+        assert report.worst_constant == pytest.approx(1.666666666666666,
+                                                      rel=1e-15)
 
 
 # each model with a potential on its domain and a mode of its window
@@ -215,7 +228,7 @@ class TestBoundWeightRule:
             self, model, mu, l, weight, size):
         table = coefficient_table(mu, model, l, size)
         with np.errstate(invalid="ignore"):
-            m = weight.multiplier(table.indices)
+            m = weight.multiplier(table.indices, model)
         valid = bool(np.all(np.isfinite(m) & (m > 0.0)))
         assert (weight in model.kind.laws.weights) is valid
         if valid:
@@ -228,6 +241,15 @@ class TestBoundWeightRule:
             weighted_moduli(table, weight)
         with pytest.raises(DomainError, match=pattern):
             verify_lower_bound(table, weight)
+
+    @pytest.mark.parametrize(
+        "model", [m for m, *_ in _WEIGHT_CASES
+                  if BoundWeight.INVERSE_SQRT_LAMBDA in m.kind.laws.weights],
+        ids=lambda m: m.kind.value)
+    def test_sqrt_lambda_weight_is_the_root_of_the_eigenvalue(self, model):
+        ks = index_window(model, 40)
+        got = BoundWeight.INVERSE_SQRT_LAMBDA.multiplier(ks, model)
+        assert got.tobytes() == np.sqrt(eigenvalue(model, ks)).tobytes()
 
     def test_default_weights_come_first(self):
         # the defaults the coeffs and bound-check verbs have always used
@@ -308,7 +330,7 @@ def test_coefficient_table_round_trips_and_caches():
     t1 = coefficient_table(dirichlet_example(), DIRICHLET, 1, 30)
     t2 = coefficient_table(dirichlet_example(), DIRICHLET, 1, 30)
     assert t1 is t2  # cached value objects
-    assert t1.value(2) == pytest.approx(
+    assert t1.values[1] == pytest.approx(
         inner_product(dirichlet_example(), DIRICHLET, 1, 2))
 
 
@@ -323,6 +345,3 @@ def test_cached_table_refuses_writes_and_keeps_its_values():
     assert again is table
     assert np.array_equal(again.indices, before[0])
     assert np.array_equal(again.values, before[1])
-    assert again.value(-20) == before[1][0]
-    with pytest.raises(DomainError, match="index 21 outside"):
-        again.value(21)

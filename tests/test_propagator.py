@@ -624,33 +624,20 @@ class TestSobolevNorms:
     def test_single_dirichlet_modes(self):
         # [TRIVIAL]/[PAPER] weight k on mode k
         assert sobolev_norm(basis_state(DIRICHLET, 16, 1),
-                            SobolevNorm.H10) == 1.0
+                            SobolevNorm.H1) == 1.0
         assert sobolev_norm(basis_state(DIRICHLET, 16, 3),
-                            SobolevNorm.H10) == 3.0
+                            SobolevNorm.H1) == 3.0
 
     def test_harmonic_mode_weight(self):
         # [PAPER] weight sqrt(2k+1)
         assert sobolev_norm(basis_state(HARMONIC, 8, 2),
-                            SobolevNorm.H1H) == pytest.approx(np.sqrt(5.0))
+                            SobolevNorm.H1) == pytest.approx(np.sqrt(5.0))
 
     def test_periodic_weight_floors_at_one(self):
         psi = basis_state(PERIODIC, 9, 0)
-        assert sobolev_norm(psi, SobolevNorm.H1P) == 1.0
+        assert sobolev_norm(psi, SobolevNorm.H1) == 1.0
         assert sobolev_norm(basis_state(PERIODIC, 9, -4),
-                            SobolevNorm.H1P) == 4.0
-
-    def test_half_line_norm_at_a_hermite_zero_is_rejected(self):
-        # phi_1(0) = 0, so the k=2 weight is undefined at a=0
-        psi = basis_state(HARMONIC, 8, 2)
-        with pytest.raises(DomainError):
-            sobolev_norm(psi, SobolevNorm.HHA, a=0.0)
-
-    def test_half_line_norm_generic_point(self):
-        psi = basis_state(HARMONIC, 8, 3)
-        got = sobolev_norm(psi, SobolevNorm.HHA, a=0.3)
-        from bilinctrl.spectral import hermite_function_values
-        phi2 = hermite_function_values(2, 0.3)[2, 0]
-        assert got == pytest.approx(np.sqrt(3.0) / abs(phi2))
+                            SobolevNorm.H1) == 4.0
 
     def test_l2_norm_is_euclidean(self):
         rng = np.random.default_rng(3)
