@@ -76,6 +76,18 @@ case "$res" in
   *) exit 1 ;;
 esac
 
+# on the periodic model --K 10 is the window -5..5 of every K-verb, so l = 6
+# lies outside it; without drift lambda_{-1} = lambda_1, a self-collision
+for verb in resonance gaps; do
+  fails_cleanly $verb --model periodic_magnetic --drift 1 --preset periodic_example --l 6 --K 10
+done
+res=$($BILINCTRL resonance --model periodic_magnetic --drift 0 --l 1 --K 10 -o cli-smoke)
+echo "$res"
+case "$res" in
+  *'[(-1, -1)]'*) ;;
+  *) exit 1 ;;
+esac
+
 # the weight sqrt(lambda_k) vanishes where lambda_k = 0: at k = 0 on the
 # periodic and the Neumann model, so both reject it
 fails_cleanly bound-check --model periodic_magnetic --drift 1 --preset periodic_example --l 0 --weight inverse_sqrt_lambda

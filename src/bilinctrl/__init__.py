@@ -13,7 +13,7 @@ from .errors import (BilinearControlError, ConfigError,
                      IllConditionedError, ModelError, NonConvergenceError,
                      NumericError, QuadratureError)
 from .moments import (MomentProblem, MomentSolution, bessel_diagnostic,
-                      moments, solve, symmetrize)
+                      moments, solve)
 from .potentials import (BoundWeight, CoefficientMethod, CoefficientTable,
                          IdentityReport, LowerBoundReport, ObstructionReport,
                          PiecewisePotential, PotentialDomain,

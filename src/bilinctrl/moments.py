@@ -2,7 +2,7 @@
 
 Given frequencies {omega_k} and targets {x_k}, find a real u in L^2(0, T)
 with integral_0^T u(s) e^{i omega_k s} ds = x_k.  The constructive solution
-symmetrizes the frequency set to {+-omega_k} (conjugating the targets, so a
+reflects the frequency set to {+-omega_k} (conjugating the targets, so a
 real signal can match them), then takes the least-norm exponential sum
 u(t) = sum_j c_j e^{-i mu_j t}, whose coefficients solve the Gram system of
 the family {e^{-i mu_j t}}.
@@ -82,16 +82,6 @@ def _reflect(frequencies):
     return mu, scatter
 
 
-def symmetrize(problem: MomentProblem) -> MomentProblem:
-    """Extend to the reflected frequency set with conjugate targets by the
-    rule of _reflect: y(-omega) = conj(y(omega)) and real y(0), so the
-    exponential-sum solution is a real signal; opposite input frequencies
-    make the extended family degenerate."""
-    mu, scatter = _reflect(problem.frequencies)
-    return MomentProblem(problem.horizon, tuple(mu),
-                         tuple(scatter(problem.targets)))
-
-
 def _gram(freqs: np.ndarray, T: float) -> np.ndarray:
     """G[m][j] = integral_0^T e^{i(mu_m - mu_j)s} ds (Hermitian PD)."""
     return _exp_integral(np.subtract.outer(freqs, freqs), T)
@@ -132,7 +122,7 @@ class MomentInverse:
 
 @dataclass(frozen=True)
 class MomentSolution:
-    problem: MomentProblem          # the symmetrized problem actually solved
+    problem: MomentProblem          # the reflected problem actually solved
     control: ControlSignal
     coefficients: np.ndarray
     residuals: np.ndarray
@@ -179,19 +169,16 @@ def bessel_diagnostic(frequencies, T: float) -> float:
     """The least constant C(T) with ||moments(u)||_2 <= C ||u||_{L^2(0,T)}
     for every real u: the Bessel (upper frame) constant of the family.
 
-    For real u, ||moments(u)||^2 = sum_k <u, cos w_k s>^2 + <u, sin w_k s>^2,
-    so C is sqrt(lambda_max) of the 2K x 2K real Gram matrix of
-    {cos w_k s, sin w_k s} on [0, T], whose blocks are halves of the real
-    and imaginary parts of E_T(w_j - w_k) +- E_T(w_j + w_k).
+    For real u, m(-w) = conj m(w), so ||moments(u)||^2 is half the sum of
+    |m|^2 over the family {+-w_k} (zero included), whose Gram operator is
+    real; C is sqrt(lambda_max / 2) of the complex Gram matrix of {+-w_k}.
     """
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    if freqs.size > 1:
-        gaps = np.diff(np.sort(freqs))
-        if gaps.min() <= 0:
-            raise DegeneracyError("frequency gaps must be positive")
-    minus = _gram(freqs, T)
-    plus = _exp_integral(np.add.outer(freqs, freqs), T)
-    cos_sin = (plus - minus).imag
-    G = 0.5 * np.block([[(minus + plus).real, cos_sin],
-                        [cos_sin.T, (minus - plus).real]])
-    return float(np.sqrt(np.linalg.eigvalsh(G)[-1]))
+    if not freqs.size or not np.all(np.isfinite(freqs)):
+        raise DomainError("empty or non-finite frequency family")
+    if not 0.0 < T < np.inf:
+        raise DomainError("horizon must be positive and finite")
+    if np.any(np.diff(np.sort(freqs)) <= 0):
+        raise DegeneracyError("frequency gaps must be positive")
+    G = _gram(np.concatenate((freqs, -freqs)), T)
+    return float(np.sqrt(np.linalg.eigvalsh(G)[-1] / 2.0))

@@ -131,23 +131,6 @@ def neumann_example() -> PiecewisePotential:
     return indicator(1.0 / 3.0, 2.0 / 3.0)
 
 
-def _harmonic_coefficients(mu: PiecewisePotential, l: int,
-                           ks: np.ndarray) -> np.ndarray:
-    kmax = int(max(int(ks.max()), l))
-    # cover the classical turning point sqrt(2 kmax + 1) plus Gaussian margin
-    xmax = max(max(map(abs, mu.breakpoints), default=0.0) + 12.0,
-               np.sqrt(2.0 * kmax + 1.0) + 8.0)
-
-    def integrand(x):
-        phi = hermite_function_values(kmax, x)
-        return mu(x) * phi[l] * phi[ks]
-
-    vals = adaptive_integral(integrand, -xmax, xmax,
-                             splits=mu.breakpoints + (0.0,),
-                             rtol=1e-13, atol=1e-16)
-    return vals.astype(complex)
-
-
 def _tail_overlaps(a: float, rows: np.ndarray, M: int) -> np.ndarray:
     """S[i, m] = integral_a^inf phi_{rows[i]} phi_m dx for m < M, from
     phi(a) alone: 2 (m - j) S_jm = phi_j(a) phi_m'(a) - phi_m(a) phi_j'(a)
@@ -233,15 +216,20 @@ def inner_product(mu: PiecewisePotential, model: SpectralModel, l: int,
 
 
 def _quadrature_coefficient(mu, model, l, k):
-    if model.kind is ModelKind.HARMONIC:
-        return _harmonic_coefficients(mu, l, np.asarray([k]))[0]
+    if model.kind.laws.real_line:
+        # past the turning point sqrt(2 max(k, l) + 1) plus Gaussian margin
+        xmax = max(max(map(abs, mu.breakpoints), default=0.0) + 12.0,
+                   np.sqrt(2.0 * max(k, l) + 1.0) + 8.0)
+        a, b, splits = -xmax, xmax, mu.breakpoints + (0.0,)
+    else:
+        a, b, splits = 0.0, 1.0, mu.breakpoints
 
     def integrand(x):
         return (mu(x) * eigenfunction_value(model, l, x)
                 * np.conj(eigenfunction_value(model, k, x)))
 
-    return adaptive_integral(integrand, 0.0, 1.0, splits=mu.breakpoints,
-                             rtol=1e-13, atol=1e-16)
+    return adaptive_integral(integrand, a, b, splits=splits, rtol=1e-13,
+                             atol=1e-16)
 
 
 def _check_domain(mu: PiecewisePotential, model: SpectralModel) -> None:

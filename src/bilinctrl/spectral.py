@@ -228,7 +228,7 @@ def check_resonance(l: int, K: int,
     with lambda_j + lambda_k = 2 lambda_l, a collision nu_j = -nu_k of
     nu_k = lambda_k - lambda_l; sorted by k, then j.  A pass over a finite
     window is necessary at scale, not a proof for all indices."""
-    window_position(model, _transition_size(model, K), l)
+    window_position(model, K, l)
     ks, nu = _transition_modes(model, l, K)
     k, j = opposite_pairs(nu, _collision_tol(model, l))
     violations = tuple(zip(ks[j].tolist(), ks[k].tolist()))
@@ -272,14 +272,10 @@ def opposite_pairs(nu, tol: float):
     return i[first], j[first]
 
 
-def _transition_size(model: SpectralModel, K: int) -> int:
-    """Size of the window the transition verbs scan: -K..K on Z, else K."""
-    return 2 * K + 1 if model.kind.laws.lowest is None else K
-
-
 def _transition_modes(model: SpectralModel, l: int, K: int):
-    """The modes k != l of that window and nu_k = lambda_k - lambda_l."""
-    ks = index_window(model, _transition_size(model, K))
+    """The modes k != l of index_window(model, K) and nu_k = lambda_k -
+    lambda_l."""
+    ks = index_window(model, K)
     ks = ks[ks != l]
     return ks, eigenvalue(model, ks) - eigenvalue(model, l)
 
@@ -287,7 +283,8 @@ def _transition_modes(model: SpectralModel, l: int, K: int):
 def transition_frequencies(model: SpectralModel, l: int, K: int) -> np.ndarray:
     """Merged sorted sequence {0} u {+-(lambda_k - lambda_l)} over the window."""
     _, diffs = _transition_modes(model, l, K)
-    return np.sort(np.concatenate(([0.0], diffs, -diffs)))
+    # 0.0 - d, not -d: a zero nu_k reflects to +0.0, never to a gap of -0
+    return np.sort(np.concatenate(([0.0], diffs, 0.0 - diffs)))
 
 
 def gap_analysis(model: SpectralModel, l: int, K: int) -> GapReport:
@@ -299,6 +296,7 @@ def gap_analysis(model: SpectralModel, l: int, K: int) -> GapReport:
     over excluded finite sets, which is not computable)."""
     if K < 2:
         raise DomainError("need K >= 2")
+    window_position(model, K, l)
     nu = transition_frequencies(model, l, K)
     gaps = np.sort(np.diff(nu))
     min_gap = float(gaps[0])

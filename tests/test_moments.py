@@ -9,8 +9,8 @@ from scipy.integrate import quad
 from scipy.interpolate import BarycentricInterpolator
 
 from bilinctrl.errors import DegeneracyError, DomainError, IllConditionedError
-from bilinctrl.moments import (MomentProblem, bessel_diagnostic, moments,
-                               solve, symmetrize)
+from bilinctrl.moments import (MomentProblem, _reflect, bessel_diagnostic,
+                               moments, solve)
 from bilinctrl.integrals import poly_exp_integral
 from bilinctrl.propagator import ControlSignal, _panel_weights
 from bilinctrl.spectral import SpectralModel, transition_frequencies
@@ -141,7 +141,7 @@ class TestMoments:
 class TestSymmetrize:
     def test_positive_frequency_reflects_with_conjugate_target(self):
         p = MomentProblem(1.0, (1.0,), (1.0j,))
-        s = symmetrize(p)
+        s = solve(p).problem
         assert sorted(s.frequencies) == [-1.0, 1.0]
         tgt = dict(zip(s.frequencies, s.targets))
         assert tgt[1.0] == 1.0j
@@ -154,7 +154,7 @@ class TestSymmetrize:
         freqs = tuple(eigenvalue(model, k) - eigenvalue(model, 1)
                       for k in (1, 2, 3))
         p = MomentProblem(1.0, freqs, (0.5, 0.1 + 0.2j, -0.3j))
-        s = symmetrize(p)
+        s = solve(p).problem
         assert len(s.frequencies) == 5
         assert sorted(s.frequencies) == sorted(
             [0.0, 3 * np.pi**2, -3 * np.pi**2, 8 * np.pi**2, -8 * np.pi**2])
@@ -163,7 +163,7 @@ class TestSymmetrize:
         # frequencies {1, -1} with inconsistent targets collide on reflection
         p = MomentProblem(1.0, (1.0, -1.0), (1.0j, 1.0j))
         with pytest.raises(DegeneracyError):
-            symmetrize(p)
+            solve(p)
 
     def test_resonant_dirichlet_mode_five_set_is_degenerate(self):
         # lambda_7 - lambda_5 = -(lambda_1 - lambda_5), so the one-sided
@@ -175,7 +175,7 @@ class TestSymmetrize:
         p = MomentProblem(1.0, freqs, tuple([0.1 + 0.1j] * 4 + [0.0]
                                             + [0.1 + 0.1j] * 2))
         with pytest.raises(DegeneracyError):
-            symmetrize(p)
+            solve(p)
 
     def test_complex_zero_frequency_target_rejected(self):
         with pytest.raises(DegeneracyError):
@@ -202,7 +202,7 @@ class TestSymmetrize:
         p = MomentProblem(1.0, (3.0, 2.0, 5.0, -2.0, -3.0), (1.0,) * 5)
         with pytest.raises(DegeneracyError,
                            match="^frequencies 3 and -3 are opposite"):
-            symmetrize(p)
+            solve(p)
 
     @settings(max_examples=200, deadline=None)
     @given(freqs=st.lists(st.sampled_from([0.0, 1.0, -1.0, 1.0 + 5e-10,
@@ -224,9 +224,9 @@ class TestSymmetrize:
             j, k = np.argwhere(opposite)[0]
             with pytest.raises(DegeneracyError, match=(
                     f"^frequencies {fs[j]:g} and {fs[k]:g} are opposite")):
-                symmetrize(p)
+                solve(p)
         else:
-            symmetrize(p)
+            _reflect(p.frequencies)
 
 
 class TestSolve:
@@ -285,12 +285,11 @@ class TestSolve:
     def test_minimal_norm_among_exponential_ansatz(self):
         # the Gram solve picks the minimum-L2 control in the span; adding
         # any kernel-orthogonal exponential perturbation only increases norm
-        p = symmetrize(MomentProblem(1.0, (0.0, 2.0), (1.0, 0.5 + 0.5j)))
         sol = solve(MomentProblem(1.0, (0.0, 2.0), (1.0, 0.5 + 0.5j)))
         base = sol.control.l2_norm()
         rng = np.random.default_rng(4)
         onesided = np.array([0.0, 2.0])
-        all_freqs = np.asarray(p.frequencies)
+        all_freqs = np.asarray(sol.problem.frequencies)
         for _ in range(5):
             # build a real perturbation with zero moments at the frequencies
             extra = rng.uniform(5.0, 9.0)
@@ -354,6 +353,17 @@ class TestBesselDiagnostic:
         # a real test signal concentrates on the cosine/sine pair, so the
         # degenerate level approaches sqrt(T) rather than sqrt(2T)
         assert near_degenerate > 0.95 * np.sqrt(T)
+
+    @pytest.mark.parametrize("freqs, T, name", [
+        ((), 1.0, "empty"),
+        ((1.0, np.nan), 1.0, "non-finite"),
+        ((1.0, np.inf), 1.0, "non-finite"),
+        ((1.0, 2.0), -1.0, "horizon"),
+        ((1.0, 2.0), 0.0, "horizon"),
+    ])
+    def test_bad_family_or_horizon_rejected(self, freqs, T, name):
+        with pytest.raises(DomainError, match=name):
+            bessel_diagnostic(np.array(freqs), T)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), n_freqs=st.integers(1, 6),

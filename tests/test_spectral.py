@@ -166,7 +166,8 @@ class TestResonanceOnEveryModel:
         # 2 l^2 - 1 = 4556^2 + 44489^2: the sum misses 2 lambda_l by pi^2
         (DIRICHLET, 31623, 100_000, range(1, 100_001)),
         # (l + 1, l - 1) misses it by 8 pi^2
-        (SpectralModel.periodic(0.0), 49_000, 50_000, range(-50_000, 50_001)),
+        (SpectralModel.periodic(0.0), 49_000, 100_000,
+         range(-50_000, 50_001)),
     ])
     def test_a_near_miss_is_no_pair_at_large_l(self, model, l, K, window):
         # a tolerance of 1e-9 lambda_l (10.0 and 94.8 here) reports 16 and 8
@@ -196,10 +197,13 @@ class TestResonanceOnEveryModel:
 
     @pytest.mark.parametrize("model, l", [
         (DIRICHLET, 0), (DIRICHLET, 11), (NEUMANN, 10), (NEUMANN, -1),
-        (HARMONIC, 10), (PERIODIC, 11), (PERIODIC, -11)])
+        (HARMONIC, 10), (PERIODIC, 11), (PERIODIC, -11), (PERIODIC, 6),
+        (PERIODIC, -6)])
     def test_mode_outside_the_window_is_rejected(self, model, l):
         with pytest.raises(DomainError):
             check_resonance(l, 10, model)
+        with pytest.raises(DomainError):
+            gap_analysis(model, l, 10)
 
     @settings(max_examples=120, deadline=None)
     @given(model=st.sampled_from(MODELS + [SpectralModel.periodic(0.0),
@@ -207,8 +211,7 @@ class TestResonanceOnEveryModel:
            K=st.integers(2, 120), data=st.data())
     def test_a_reported_pair_is_a_collision_that_gaps_sees(self, model, K,
                                                           data):
-        window = index_window(model, 2 * K + 1 if model.kind.laws.lowest
-                              is None else K)
+        window = index_window(model, K)
         l = data.draw(st.sampled_from(window.tolist()))
         report = check_resonance(l, K, model)
         lam_l = eigenvalue(model, l)
@@ -251,6 +254,9 @@ class TestGaps:
         report = gap_analysis(SpectralModel.periodic(0.0), 0, 5)
         assert not report.distinct
         assert report.min_gap == pytest.approx(0.0)
+        # nu_{-1} = 0 around l = 1: its reflection is +0.0, so no gap of -0
+        report = gap_analysis(SpectralModel.periodic(0.0), 1, 10)
+        assert repr(report.min_gap) == "0.0"
 
     def test_collision_at_the_rounding_scale_is_not_distinct(self):
         # lambda_j + lambda_k = 2 lambda_l for 8 integer pairs, which round
@@ -272,6 +278,8 @@ class TestGaps:
         nu = transition_frequencies(DIRICHLET, 1, 30)
         assert 0.0 in nu
         assert np.allclose(np.sort(-nu), nu)
+        # the periodic window of size 20 is -10..10: 20 modes besides l
+        assert transition_frequencies(PERIODIC, 0, 20).size == 41
 
     @settings(max_examples=30, deadline=None)
     @given(l=st.integers(1, 10), K=st.integers(11, 80))
