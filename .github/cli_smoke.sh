@@ -31,6 +31,16 @@ $BILINCTRL obstruction-scan --config indicator.json --K 1000 -o cli-smoke
 $BILINCTRL bound-check --K 100000 -o cli-smoke
 $BILINCTRL gaps --K 100000 -o cli-smoke
 
+# the README simulate (N = 64 modes, 4096 steps) must exit 0 with one
+# trajectory row per time and mode, one norms row per time, and each time
+# written once per mode: the first t cell repeats 64 times
+$BILINCTRL simulate --N 64 --T 0.5 -o cli-smoke
+test "$(wc -l < cli-smoke/trajectory.csv)" -eq $((2 + 4097 * 64))
+test "$(wc -l < cli-smoke/norms.csv)" -eq $((2 + 4097))
+first=$(sed -n '3,67p' cli-smoke/trajectory.csv | cut -d, -f1 | uniq -c | head -n 1)
+echo "first time: $first"
+test "$(echo "$first" | awk '{print $1}')" -eq 64
+
 # the bare steer (Dirichlet, N = 64, K = 20, T = 0.5) controls 20 of 64
 # modes; it must exit 0 and report its outcome, converged or not
 steer=$($BILINCTRL steer -o cli-smoke)

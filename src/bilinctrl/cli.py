@@ -43,7 +43,9 @@ def write_csv(path: str, header: str, columns, config_hash: str) -> None:
     the header.  Integer columns are written as decimal integers, every other
     column as the shortest round-trip repr of its float64 values; lines end
     in \\n.  Rows are formatted and written _CSV_BLOCK at a time, one template
-    per block.  columns is iterated exactly once."""
+    per block; within a block, a column made mostly of runs of bit-identical
+    values formats each run once (_block_cells).  columns is iterated exactly
+    once."""
     columns = [c if np.issubdtype(c.dtype, np.integer)
                else c.astype(np.float64, copy=False)
                for c in map(np.asarray, columns)]
@@ -59,8 +61,22 @@ def write_csv(path: str, header: str, columns, config_hash: str) -> None:
             n = min(_CSV_BLOCK, n_rows - a)
             cells = [None] * (width * n)
             for j, c in enumerate(columns):
-                cells[j::width] = c[a:a + n].tolist()
+                cells[j::width] = _block_cells(c[a:a + n])
             fh.write((template * n) % tuple(cells))
+
+
+def _block_cells(c) -> list:
+    """The cells of one block of a column, as write_csv's template formats
+    them.  Runs of bit-identical values (-0.0 and 0.0 differ, NaNs of one
+    payload match) are found on the integer view; when they are at most half
+    the block, each run head is formatted once and its string repeated,
+    otherwise the values go to the template as they are."""
+    bits = c.view(np.int64) if c.dtype.kind == "f" else c
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    if 2 * starts.size > c.size:
+        return c.tolist()
+    text = np.array([str(v) for v in c[starts].tolist()], dtype=object)
+    return np.repeat(text, np.diff(starts, append=c.size)).tolist()
 
 
 def read_csv(path: str):
@@ -219,6 +235,13 @@ def _cmd_obstruction_scan(cfg, out):
     return 0
 
 
+def _row_norms(rows):
+    """np.linalg.norm of each complex row, bit for bit: the sum of the dot
+    products of its real and imaginary views, then the square root.  An
+    axis=1 norm sums in another order."""
+    return np.sqrt([c.real.dot(c.real) + c.imag.dot(c.imag) for c in rows])
+
+
 def _cmd_simulate(cfg, out):
     model = cfg.spectral_model()
     mu = cfg.piecewise_potential()
@@ -233,9 +256,8 @@ def _cmd_simulate(cfg, out):
                traj.states.real.ravel(), traj.states.imag.ravel()),
               cfg.hash())
     weights = sobolev_weights(model, cfg.numerics.N, SobolevNorm.H1)
-    # one norm per row: an axis=1 norm sums in another order
-    l2 = [np.linalg.norm(c) for c in traj.states]
-    h1 = [np.linalg.norm(weights * c) for c in traj.states]
+    l2 = _row_norms(traj.states)
+    h1 = _row_norms(weights * c for c in traj.states)
     npath = os.path.join(out, "norms.csv")
     write_csv(npath, "t,l2,h1", (traj.times, l2, h1), cfg.hash())
     drift = float(np.abs(traj.norms() - 1.0).max())

@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilinctrl import (BoundWeight, ControlSignal, ExperimentConfig,
-                       MomentProblem, Propagator, SpectralModel, basis_state,
-                       coefficient_table, dirichlet_example, eigenvalue,
-                       half_line_step, index_window, indicator, load_config,
-                       moments, neumann_example, neumann_obstruction_scan,
-                       periodic_example, solve)
+                       MomentProblem, Propagator, SobolevNorm, SpectralModel,
+                       basis_state, coefficient_table, dirichlet_example,
+                       eigenvalue, half_line_step, index_window, indicator,
+                       load_config, moments, neumann_example,
+                       neumann_obstruction_scan, periodic_example, solve,
+                       sobolev_weights)
 from bilinctrl.cli import _CSV_BLOCK, main, read_csv, read_json, write_csv
 from bilinctrl.errors import IllConditionedError
 
@@ -434,14 +435,16 @@ def _columns(draw):
     columns = []
     for is_int in draw(st.lists(st.booleans(), min_size=1, max_size=5)):
         if is_int:
-            pool = SPECIAL_INTS + draw(st.lists(
-                st.integers(INT64.min, INT64.max), max_size=8))
-            columns.append(np.array(pool, dtype=np.int64)[
-                rng.integers(len(pool), size=n_rows)])
+            pool = np.array(SPECIAL_INTS + draw(st.lists(
+                st.integers(INT64.min, INT64.max), max_size=8)),
+                dtype=np.int64)
         else:
-            pool = SPECIAL_FLOATS + draw(st.lists(st.floats(), max_size=8))
-            columns.append(np.array(pool)[rng.integers(len(pool),
-                                                       size=n_rows)])
+            pool = np.array(SPECIAL_FLOATS + draw(st.lists(st.floats(),
+                                                           max_size=8)))
+        # each drawn value fills a run of cells, some longer than a block
+        run = draw(st.sampled_from([1, 2, 64, _CSV_BLOCK + 1]))
+        draws = pool[rng.integers(pool.size, size=-(-n_rows // run))]
+        columns.append(np.repeat(draws, run)[:n_rows])
     return columns
 
 
@@ -473,6 +476,37 @@ def test_write_csv_matches_per_cell_oracle_and_round_trips(columns,
             assert np.array_equal(np.isnan(back), nan)
             # bitwise, so -0.0 and the subnormals come back as written
             assert back[~nan].tobytes() == column[~nan].tobytes()
+
+
+def test_write_csv_formats_runs_as_the_oracle(tmp_path):
+    """Runs of bit-identical cells, as in the t column of trajectory.csv
+    and the running minimum of obstruction.csv, beside a column without
+    runs."""
+    n = 2 * _CSV_BLOCK + 3
+    floats = np.array(SPECIAL_FLOATS)
+    # one run across the first block boundary, then nan and inf runs
+    across = np.full(n, 0.25)
+    across[_CSV_BLOCK - 5:_CSV_BLOCK + 9] = 1 / 3
+    across[_CSV_BLOCK + 9:_CSV_BLOCK + 200] = math.nan
+    across[_CSV_BLOCK + 200:-7] = math.inf
+    across[-7:] = -math.inf
+    extremes = np.array([INT64.min, INT64.max, 0, INT64.min], dtype=np.int64)
+    # the imaginary part of a complex array is a strided view
+    states = np.zeros(n, dtype=complex)
+    states.imag = np.resize(np.repeat(floats, 700), n)
+    columns = [np.repeat(np.linspace(0.0, 1.0, n), 5)[:n],
+               np.resize(np.arange(7), n),
+               np.resize(np.repeat(floats, 64), n),
+               np.resize(np.repeat([-0.0, 0.0], 3), n),
+               across,
+               np.resize(np.repeat(extremes, 1000), n),
+               states.imag]
+    assert not columns[-1].flags.contiguous
+    header = ",".join(f"c{j}" for j in range(len(columns)))
+    path = str(tmp_path / "runs.csv")
+    write_csv(path, header, columns, "0123456789abcdef")
+    with open(path, "rb") as fh:
+        assert fh.read() == _oracle_csv(header, columns, "0123456789abcdef")
 
 
 def test_write_csv_rejects_ragged_columns(tmp_path):
@@ -513,6 +547,9 @@ def test_simulate_trajectory_rows_are_time_major(tmp_path):
     assert [r[0] for r in norm_rows] == [repr(float(t)) for t in traj.times]
     assert [float(r[1]) for r in norm_rows] == [
         float(np.linalg.norm(c)) for c in traj.states]
+    weights = sobolev_weights(model, 3, SobolevNorm.H1)
+    assert [float(r[2]) for r in norm_rows] == [
+        float(np.linalg.norm(weights * c)) for c in traj.states]
 
 
 def test_obstruction_scan_rows_match_the_scan(tmp_path):
