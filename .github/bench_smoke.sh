@@ -33,3 +33,20 @@ smoke derivative_check 1
 for w in steer_sweep moment_verify; do
   smoke "$w" 1
 done
+
+# the harness clears every package cache it finds before its traced pass
+# and before the first-unit repeat; it must find the factored moment
+# families and the Filon panel operators, or the traced pass would time and
+# count them warm.  The repeat check cannot see that: both of its runs
+# would start warm, so their counts would still agree
+python - <<'PY'
+import sys
+sys.path.insert(0, "perfbench")
+import layers
+import bilinctrl  # noqa: F401  (loads every module the harness searches)
+names = {f"{f.__module__}.{f.__name__}" for f in layers.program_caches()}
+print("cleared caches:", " ".join(sorted(names)))
+need = {"bilinctrl.moments._factored", "bilinctrl.propagator._panel_operator",
+        "bilinctrl.propagator._lagrange_basis"}
+assert need <= names, need - names
+PY

@@ -26,6 +26,17 @@ fails_cleanly() {
 # the default moment problem, the README indicator scan and the K = 1e5
 # coefficient verbs must exit 0
 $BILINCTRL moments-solve -o cli-smoke
+# moments.json reports the extreme Gram eigenvalues beside the condition,
+# which is their ratio
+python - cli-smoke/moments.json <<'PY'
+import json, sys
+with open(sys.argv[1]) as fh:
+    doc = json.load(fh)
+lo, hi, cond = (doc[k] for k in
+                ("gram_lambda_min", "gram_lambda_max", "gram_condition"))
+print(f"gram lambda_min={lo!r} lambda_max={hi!r} condition={cond!r}")
+assert 0.0 < lo <= hi and abs(hi / lo - cond) <= 1e-12 * cond
+PY
 printf '%s' '{"potential": {"preset": null, "breakpoints": [0.41421356], "pieces": [[1.0], [0.0]]}}' > indicator.json
 $BILINCTRL obstruction-scan --config indicator.json --K 1000 -o cli-smoke
 $BILINCTRL bound-check --K 100000 -o cli-smoke

@@ -8,12 +8,16 @@ u(t) = sum_j c_j e^{-i mu_j t}, whose coefficients solve the Gram system of
 the family {e^{-i mu_j t}}.
 
 The Gram matrix depends on the frequencies and the horizon only, so
-MomentInverse factors a family once for any number of target vectors; steer,
-whose linearization is frozen, then costs two triangular solves an iteration.
+MomentInverse factors a family once for any number of target vectors, and
+solve takes it from a bounded LRU cache keyed by the horizon, the float64
+bytes of the family and the condition cap: a family is factored once per
+process and key, and its arrays are shared read-only.  steer, whose
+linearization is frozen, then costs two triangular solves an iteration.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -89,14 +93,17 @@ def _gram(freqs: np.ndarray, T: float) -> np.ndarray:
 
 class MomentInverse:
     """The least-norm inverse of the moment map of one family on (0, T):
-    the reflected family mu (frequencies) and the Cholesky factor of its
-    Gram matrix, whose condition is checked against the cap, built once;
-    each target vector then costs two pairs of triangular solves."""
+    the reflected family mu (frequencies), its Gram matrix with the extreme
+    eigenvalues lambda_min and lambda_max, whose ratio is the condition
+    checked against the cap, and the Cholesky factor, built once into
+    read-only arrays; each target vector then costs two pairs of triangular
+    solves."""
 
     def __init__(self, T: float, frequencies, condition_cap: float = 1e12):
         self.frequencies, self.scatter = _reflect(frequencies)
         self.gram = _gram(self.frequencies, T)
         eig = np.linalg.eigvalsh(self.gram)
+        self.lambda_min, self.lambda_max = float(eig[0]), float(eig[-1])
         # a Gram matrix rounded to a non-positive eigenvalue is singular
         self.condition = float(eig[-1] / eig[0]) if eig[0] > 0.0 else np.inf
         if self.condition > condition_cap:
@@ -105,6 +112,8 @@ class MomentInverse:
                 f"{eig[0]:.3e}) above cap {condition_cap:.1e}; enlarge T or "
                 "drop modes", condition=self.condition)
         self._L = np.linalg.cholesky(self.gram)
+        for a in (self.frequencies, self.gram, self._L):
+            a.flags.writeable = False
 
     def coefficients(self, targets) -> np.ndarray:
         """c with sum_j c_j e^{-i mu_j t} the least-norm real solution for
@@ -120,13 +129,21 @@ class MomentInverse:
         return 0.5 * (c + np.conj(c[::-1]))
 
 
+@functools.lru_cache(maxsize=16)
+def _factored(T: float, family: bytes, condition_cap: float) -> MomentInverse:
+    """The MomentInverse of the float64 frequencies in family on (0, T),
+    shared by every solve with this key.  A family that raises is not
+    cached, so a tighter cap than a cached entry's raises again."""
+    return MomentInverse(T, np.frombuffer(family), condition_cap)
+
+
 @dataclass(frozen=True)
 class MomentSolution:
     problem: MomentProblem          # the reflected problem actually solved
     control: ControlSignal
     coefficients: np.ndarray
     residuals: np.ndarray
-    inverse: MomentInverse          # the factored family, for more targets
+    inverse: MomentInverse          # the shared factored family
 
     @property
     def gram_condition(self) -> float:
@@ -145,6 +162,8 @@ class MomentSolution:
             "coefficients_re": self.coefficients.real.tolist(),
             "coefficients_im": self.coefficients.imag.tolist(),
             "gram_condition": self.gram_condition,
+            "gram_lambda_min": self.inverse.lambda_min,
+            "gram_lambda_max": self.inverse.lambda_max,
             "residual_max": self.residual_max,
             "n_steps": self.control.n_steps,
         }, indent=2)
@@ -152,9 +171,11 @@ class MomentSolution:
 
 def solve(problem: MomentProblem, condition_cap: float = 1e12,
           n_steps: int = DEFAULT_STEPS) -> MomentSolution:
-    """Least-norm real exponential-sum solution of the moment problem."""
-    inverse = MomentInverse(problem.horizon, problem.frequencies,
-                            condition_cap)
+    """Least-norm real exponential-sum solution of the moment problem; the
+    factored family comes from the cache of _factored."""
+    inverse = _factored(float(problem.horizon),
+                        np.asarray(problem.frequencies, dtype=float).tobytes(),
+                        float(condition_cap))
     y = inverse.scatter(problem.targets)
     c = inverse.coefficients(problem.targets)
     return MomentSolution(

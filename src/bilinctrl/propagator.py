@@ -44,6 +44,7 @@ and about 2 J sqrt(n) exps for J terms, accurate to the rounding of f t.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -249,7 +250,11 @@ def moments(u: ControlSignal, frequencies) -> np.ndarray:
         w_j(omega) = h int_{-_PANEL/2}^{_PANEL/2} L_j(x) e^{i omega h x} dx,
 
     with mid_p the panel midpoints and L_j the Lagrange basis on the nodes
-    -_PANEL/2, ..., _PANEL/2.
+    -_PANEL/2, ..., _PANEL/2.  The weights and phases do not depend on the
+    samples: each group of congruent panels takes them from _panel_operator,
+    cached per (panel size, h, panel count, first step, shape and float64
+    bytes of the frequencies) in a bounded LRU cache and shared read-only,
+    so repeated calls on one grid and family only apply them.
     """
     omegas = np.atleast_1d(np.asarray(frequencies, dtype=float))
     if u.parametric is not None:
@@ -266,20 +271,43 @@ def moments(u: ControlSignal, frequencies) -> np.ndarray:
             continue
         panels = np.lib.stride_tricks.sliding_window_view(
             u.samples[first:first + count * k + 1], k + 1)[::k]
-        mids = h * (first + k * np.arange(count) + 0.5 * k)
-        phases = np.exp(1j * np.multiply.outer(omegas, mids))
-        out += np.sum(_panel_weights(k, h, omegas) * (phases @ panels),
-                      axis=-1)
+        weights, phases = _panel_operator(k, h, count, first, omegas.shape,
+                                          omegas.tobytes())
+        out += np.sum(weights * (phases @ panels), axis=-1)
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _panel_operator(k: int, h: float, count: int, first: int, shape: tuple,
+                    family: bytes):
+    """The panel weights (_panel_weights) and the phases e^{i omega mid_p}
+    of count congruent k-step panels from grid step first, for the float64
+    frequencies in family, read-only.  An entry holds (count + k + 1) complex
+    values per frequency: about 100 KB for 25 frequencies on 2048 steps."""
+    omegas = np.frombuffer(family).reshape(shape)
+    mids = h * (first + k * np.arange(count) + 0.5 * k)
+    phases = np.exp(1j * np.multiply.outer(omegas, mids))
+    weights = _panel_weights(k, h, omegas)
+    phases.flags.writeable = weights.flags.writeable = False
+    return weights, phases
 
 
 def _panel_weights(k: int, h: float, omegas: np.ndarray) -> np.ndarray:
     """w[i, j] = h integral_{-k/2}^{k/2} L_j(x) e^{i omegas_i h x} dx for the
     Lagrange basis L_j on the nodes -k/2, ..., k/2 of a k-step panel."""
     nodes = np.arange(k + 1) - 0.5 * k
-    # lagrange[n, j] is the x^n coefficient of L_j
+    return h * poly_exp_integral(_lagrange_basis(k), nodes[0], nodes[-1],
+                                 h * omegas)
+
+
+@functools.lru_cache(maxsize=16)
+def _lagrange_basis(k: int) -> np.ndarray:
+    """lagrange[n, j], the x^n coefficient of L_j on the nodes -k/2, ...,
+    k/2 of a k-step panel, read-only."""
+    nodes = np.arange(k + 1) - 0.5 * k
     lagrange = np.linalg.inv(np.vander(nodes, increasing=True))
-    return h * poly_exp_integral(lagrange, nodes[0], nodes[-1], h * omegas)
+    lagrange.flags.writeable = False
+    return lagrange
 
 
 def coupling_matrix(mu: PiecewisePotential, model: SpectralModel,

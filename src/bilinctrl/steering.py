@@ -4,8 +4,10 @@ Pipeline: project the error onto the tangent space of the unit sphere at the
 evolved eigenmode, invert the linearized endpoint map through the moment
 solver, and iterate the correction (a quasi-Newton loop with the
 linearization frozen at the eigensolution).  Frozen, the moment family is
-factored by the first solve of a steer call, and each later iteration costs
-two triangular solves; the coefficients add up in one exponential sum.
+factored once per process and key: the first solve of a steer call takes
+the factorization from the cache of moments.solve, which computes it only
+if no earlier call did, and each later iteration costs two triangular
+solves; the coefficients add up in one exponential sum.
 The corrections target the K controlled modes (the window); the other N - K
 simulated modes (the tail) are reported beside them, not steered.
 """
@@ -189,7 +191,8 @@ def steer(problem: SteeringProblem, K: int, N: int | None = None,
         if np.all(np.abs(x) < 1e-15):
             break
         if inverse is None:
-            # the first solve factors the frozen family for every later one
+            # the first solve brings the frozen family's factorization for
+            # every later one
             solution = solve(MomentProblem(problem.T, freqs, tuple(x)),
                              n_steps=n_steps)
             inverse, c = solution.inverse, solution.coefficients

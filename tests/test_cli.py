@@ -110,6 +110,8 @@ def test_moments_solve_defaults_to_the_transition_family(tmp_path):
     assert doc["coefficients_im"] == sol.coefficients.imag.tolist()
     assert doc["gram_condition"] == sol.gram_condition
     assert round(doc["gram_condition"], 3) == 1.449
+    assert doc["gram_lambda_min"] == sol.inverse.lambda_min
+    assert doc["gram_lambda_max"] == sol.inverse.lambda_max
     assert doc["control_l2_norm"] == sol.control.l2_norm()
     misfit = np.abs(moments(sol.control, np.asarray(freqs))
                     - np.asarray(targets))

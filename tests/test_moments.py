@@ -1,6 +1,8 @@
 """Trigonometric moment problems: Gram solves, symmetrization,
 conditioning, and frame diagnostics."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,11 @@ from scipy.integrate import quad
 from scipy.interpolate import BarycentricInterpolator
 
 from bilinctrl.errors import DegeneracyError, DomainError, IllConditionedError
-from bilinctrl.moments import (MomentProblem, _reflect, bessel_diagnostic,
-                               moments, solve)
+from bilinctrl.moments import (MomentProblem, _factored, _reflect,
+                               bessel_diagnostic, moments, solve)
 from bilinctrl.integrals import poly_exp_integral
-from bilinctrl.propagator import ControlSignal, _panel_weights
+from bilinctrl.propagator import (ControlSignal, _lagrange_basis,
+                                  _panel_operator, _panel_weights)
 from bilinctrl.spectral import SpectralModel, transition_frequencies
 
 
@@ -323,6 +326,151 @@ class TestSolve:
             solve(MomentProblem(0.9 * np.pi, freqs, targets),
                   condition_cap=1e6)
         assert err.value.condition > 1e6
+
+    def test_gram_constants_are_the_extreme_eigenvalues(self):
+        model = SpectralModel.harmonic()
+        freqs = tuple(float(w) for w in
+                      transition_frequencies(model, 0, 25) if w >= 0.0)
+        sol = solve(MomentProblem(1.05 * np.pi, freqs, (1.0,) * len(freqs)))
+        inverse = sol.inverse
+        lo, hi = np.linalg.eigvalsh(inverse.gram)[[0, -1]]
+        assert (inverse.lambda_min, inverse.lambda_max) == (lo, hi)
+        assert inverse.lambda_max / inverse.lambda_min == sol.gram_condition
+        doc = json.loads(sol.to_json())
+        assert doc["gram_lambda_min"] == inverse.lambda_min
+        assert doc["gram_lambda_max"] == inverse.lambda_max
+        keys = list(doc)
+        at = keys.index("gram_condition")
+        assert keys[at:at + 3] == ["gram_condition", "gram_lambda_min",
+                                   "gram_lambda_max"]
+
+
+_CACHES = (_factored, _panel_operator, _lagrange_basis)
+
+
+def _clear_caches():
+    for cached in _CACHES:
+        cached.cache_clear()
+
+
+def _misses() -> int:
+    return sum(cached.cache_info().misses for cached in _CACHES)
+
+
+def _dirichlet_problem(T=0.5, K=8, seed=1):
+    model = SpectralModel.dirichlet()
+    freqs = tuple(float(w) for w in
+                  transition_frequencies(model, 1, K) if w >= 0.0)
+    rng = np.random.default_rng(seed)
+    targets = tuple(complex(rng.standard_normal(), rng.standard_normal())
+                    if w else complex(rng.standard_normal()) for w in freqs)
+    return MomentProblem(T, freqs, targets)
+
+
+def _solve_bits(problem, cap=1e12):
+    sol = solve(problem, condition_cap=cap, n_steps=512)
+    return (sol.coefficients.tobytes(), sol.residuals.tobytes(),
+            repr(sol.gram_condition), sol.control.samples.tobytes())
+
+
+def _moments_bits(T, n_steps, freqs):
+    samples = np.sin(np.linspace(0.0, 7.0, n_steps + 1)) + 0.25
+    got = moments(ControlSignal(T, samples), freqs)
+    return got.shape, got.tobytes()
+
+
+_FREQS = np.array([0.0, 3.0, -5.0, 40.0, 123.0, -7.5])
+
+
+class TestSharedPrecomputations:
+    """solve and sampled moments() share their per-family work through
+    bounded LRU caches; a hit must return what a miss computes."""
+
+    def test_solve_hit_is_bitwise_a_miss(self):
+        problem = _dirichlet_problem()
+        _clear_caches()
+        miss = _solve_bits(problem)
+        hit = _solve_bits(problem)
+        assert _factored.cache_info().hits >= 1
+        _clear_caches()
+        assert hit == miss == _solve_bits(problem)
+
+    @pytest.mark.parametrize("n_steps", [2048, 1001])
+    def test_sampled_moments_hit_is_bitwise_a_miss(self, n_steps):
+        # 1001 steps end in a shorter panel, a second cached operator
+        _clear_caches()
+        miss = _moments_bits(0.5, n_steps, _FREQS)
+        hit = _moments_bits(0.5, n_steps, _FREQS)
+        assert _panel_operator.cache_info().hits == 1 + (n_steps % 8 > 0)
+        assert hit == miss
+
+    @pytest.mark.parametrize("first,second", [
+        (_dirichlet_problem(T=0.5), _dirichlet_problem(T=0.6)),
+        # the same family in reverse order scatters the targets differently
+        (_dirichlet_problem(),
+         MomentProblem(0.5, _dirichlet_problem().frequencies[::-1],
+                       _dirichlet_problem().targets[::-1])),
+        (MomentProblem(1.0, (0.0, 3.0), (1.0, 2.0j)),
+         MomentProblem(1.0, (-0.0, 3.0), (1.0, 2.0j))),
+    ], ids=["T", "order", "signed-zero"])
+    def test_solve_keys_tell_problems_apart(self, first, second):
+        _clear_caches()
+        _solve_bits(first)
+        got = _solve_bits(second)
+        assert _factored.cache_info().misses == 2
+        _clear_caches()
+        assert got == _solve_bits(second)
+
+    def test_a_tighter_cap_still_raises(self):
+        freqs = tuple(2.0 * k for k in range(40))
+        problem = MomentProblem(0.9 * np.pi, freqs, (0.1,) * 40)
+        _clear_caches()
+        loose = _solve_bits(problem, cap=1e13)
+        with pytest.raises(IllConditionedError):
+            solve(problem, condition_cap=1e6)
+        with pytest.raises(IllConditionedError):
+            solve(problem, condition_cap=1e6)
+        assert _factored.cache_info().currsize == 1
+        assert _solve_bits(problem, cap=1e13) == loose
+
+    @pytest.mark.parametrize("first,second", [
+        ((0.5, 2048, _FREQS), (0.6, 2048, _FREQS)),            # h
+        ((0.5, 2048, _FREQS), (1.0, 4096, _FREQS)),            # n_steps
+        ((0.5, 2048, _FREQS), (0.5, 2048, _FREQS[::-1])),      # order
+        ((0.5, 2048, _FREQS), (0.5, 2048, np.where(_FREQS == 0.0, -0.0,
+                                                   _FREQS))),  # -0.0
+        ((0.5, 2048, _FREQS.reshape(2, 3)),
+         (0.5, 2048, _FREQS.reshape(3, 2))),                   # shape
+    ], ids=["h", "n_steps", "order", "signed-zero", "shape"])
+    def test_moments_keys_tell_problems_apart(self, first, second):
+        _clear_caches()
+        _moments_bits(*first)
+        got = _moments_bits(*second)
+        assert _panel_operator.cache_info().misses == 2
+        _clear_caches()
+        assert got == _moments_bits(*second)
+        assert got[0] == second[2].shape
+
+    def test_shared_arrays_are_read_only(self):
+        _clear_caches()
+        inverse = solve(_dirichlet_problem()).inverse
+        weights, phases = _panel_operator(8, 0.01, 4, 0, _FREQS.shape,
+                                          _FREQS.tobytes())
+        for a in (inverse.gram, inverse._L, inverse.frequencies, weights,
+                  phases, _lagrange_basis(8)):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_every_cache_is_bounded(self):
+        for cached in _CACHES:
+            maxsize = cached.cache_parameters()["maxsize"]
+            assert isinstance(maxsize, int) and 0 < maxsize <= 64
+
+    def test_lagrange_basis_is_the_vandermonde_inverse(self):
+        for k in range(1, 9):
+            nodes = np.arange(k + 1) - 0.5 * k
+            want = np.linalg.inv(np.vander(nodes, increasing=True))
+            assert _lagrange_basis(k).tobytes() == want.tobytes()
 
 
 def _real_terms(freqs, amps):

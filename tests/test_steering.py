@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bilinctrl.errors import (ControllabilityDefectError, DegeneracyError,
                               DomainError, NonConvergenceError, NumericError)
-from bilinctrl.moments import MomentProblem, solve
+from bilinctrl.moments import MomentProblem, _factored, solve
 from bilinctrl.potentials import (PiecewisePotential, coefficient_table,
                                   dirichlet_example, half_line_step,
                                   neumann_example, periodic_example)
@@ -201,7 +201,9 @@ class TestSteer:
     @pytest.mark.parametrize("N", [20, 1])
     def test_one_gram_factorization_per_steer(self, monkeypatch, N):
         # the linearization is frozen at the eigensolution, so every
-        # correction reuses the moment family factored for the first one
+        # correction reuses the moment family factored for the first one,
+        # and a second steer on the same family reuses the cached one
+        _factored.cache_clear()
         calls = {"eigvalsh": 0, "cholesky": 0}
         for name, original in [(n, getattr(np.linalg, n)) for n in calls]:
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -214,6 +216,9 @@ class TestSteer:
                                   basis_state(DIRICHLET, N, 1), psi1)
         report = steer(problem, K=N)
         assert report.converged and report.iterations >= 2
+        assert calls == {"eigvalsh": 1, "cholesky": 1}
+        again = steer(problem, K=N)
+        assert again.residuals == report.residuals
         assert calls == {"eigvalsh": 1, "cholesky": 1}
 
     def test_a_mismatch_outside_the_controlled_modes_stops_at_once(
