@@ -61,6 +61,15 @@ case "$steer" in
   *) exit 1 ;;
 esac
 
+# the README steer (N = K = 20, T = 0.4) controls every simulated mode and
+# must converge
+steer=$($BILINCTRL steer --N 20 --K 20 --T 0.4 --seed 0 -o cli-smoke)
+echo "$steer"
+case "$steer" in
+  *'converged=True'*) ;;
+  *) exit 1 ;;
+esac
+
 # the README neumann_example scan vanishes at k = 1, so it must print no
 # ratio to that level
 scan=$($BILINCTRL obstruction-scan --model neumann --preset neumann_example --K 1000 -o cli-smoke)

@@ -12,8 +12,7 @@ from .errors import (BilinearControlError, ConfigError,
                      ControllabilityDefectError, DegeneracyError, DomainError,
                      IllConditionedError, ModelError, NonConvergenceError,
                      NumericError, QuadratureError)
-from .moments import (MomentProblem, MomentSolution, bessel_diagnostic,
-                      moments, solve)
+from .moments import MomentProblem, MomentSolution, moments, solve
 from .potentials import (BoundWeight, CoefficientMethod, CoefficientTable,
                          IdentityReport, LowerBoundReport, ObstructionReport,
                          PiecewisePotential, PotentialDomain,

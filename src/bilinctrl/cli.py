@@ -128,10 +128,11 @@ def _control_from_task(cfg: ExperimentConfig) -> ControlSignal:
                       "'task.control'")
 
 
-def _band_limited(rng, T: float, n_steps: int, n_terms: int = 4,
-                  band: float = 30.0) -> ControlSignal:
+def _band_limited(rng, T: float, n_steps: int) -> ControlSignal:
+    """A real sum of 4 conjugate pairs of terms, frequencies drawn from
+    [0, 30)."""
     terms = []
-    for f in rng.uniform(0.0, band, n_terms):
+    for f in rng.uniform(0.0, 30.0, 4):
         a = rng.standard_normal() + 1j * rng.standard_normal()
         terms.append((float(f), 0.25 * a))
         terms.append((float(-f), 0.25 * np.conj(a)))

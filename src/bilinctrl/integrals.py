@@ -152,17 +152,17 @@ def panel_nodes(edges, n_nodes=20):
 
 
 def adaptive_integral(f, a, b, splits=(), rtol=1e-12, atol=1e-15,
-                      n_nodes=20, initial_width=0.5, max_refinements=10):
+                      max_refinements=10):
     """Adaptive Gauss-Legendre panel quadrature of a vector-valued f.
 
-    Panels are split at the given breakpoints and halved until two successive
-    estimates agree; raises QuadratureError (with both estimates) at the cap.
+    Panels of width at most 0.5 with 20 nodes each are split at the given
+    breakpoints and halved until two successive estimates agree; raises
+    QuadratureError (with both estimates) at the cap.
     """
     factor = 1
     previous = None
     for _ in range(max_refinements):
-        nodes, weights = panel_nodes(
-            panel_grid(a, b, splits, initial_width, factor), n_nodes)
+        nodes, weights = panel_nodes(panel_grid(a, b, splits, factor=factor))
         est = np.tensordot(f(nodes), weights, axes=([-1], [0]))
         if previous is not None:
             err = np.max(np.abs(est - previous))

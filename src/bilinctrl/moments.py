@@ -11,8 +11,10 @@ The Gram matrix depends on the frequencies and the horizon only, so
 MomentInverse factors a family once for any number of target vectors, and
 solve takes it from a bounded LRU cache keyed by the horizon, the float64
 bytes of the family and the condition cap: a family is factored once per
-process and key, and its arrays are shared read-only.  steer, whose
-linearization is frozen, then costs two triangular solves an iteration.
+process and key, and its arrays are shared read-only.  Its control method is
+the one place that turns coefficients into the exponential sum, for solve
+and for steer, whose linearization is frozen: a correction then costs two
+triangular solves and one sampled grid.
 """
 
 from __future__ import annotations
@@ -93,13 +95,18 @@ def _gram(freqs: np.ndarray, T: float) -> np.ndarray:
 
 class MomentInverse:
     """The least-norm inverse of the moment map of one family on (0, T):
-    the reflected family mu (frequencies), its Gram matrix with the extreme
-    eigenvalues lambda_min and lambda_max, whose ratio is the condition
-    checked against the cap, and the Cholesky factor, built once into
-    read-only arrays; each target vector then costs two pairs of triangular
-    solves."""
+    the horizon T, the reflected family mu (frequencies), its Gram matrix
+    with the extreme eigenvalues lambda_min and lambda_max, whose ratio is
+    the condition checked against the cap, and the Cholesky factor, built
+    once into read-only arrays; each target vector then costs two pairs of
+    triangular solves.
+
+    For a family without zero, sqrt(lambda_max / 2) is its Bessel (upper
+    frame) constant: the least C with ||moments(u)||_2 <= C ||u||_{L^2(0,T)}
+    for every real u."""
 
     def __init__(self, T: float, frequencies, condition_cap: float = 1e12):
+        self.horizon = T
         self.frequencies, self.scatter = _reflect(frequencies)
         self.gram = _gram(self.frequencies, T)
         eig = np.linalg.eigvalsh(self.gram)
@@ -127,6 +134,12 @@ class MomentInverse:
         # pairing c(-mu) = conj(c(mu)) that makes the signal real; the
         # reflected frequencies are sorted, so the reflection is a reversal
         return 0.5 * (c + np.conj(c[::-1]))
+
+    def control(self, c, n_steps: int) -> ControlSignal:
+        """The exponential sum sum_j c_j e^{-i mu_j t} on (0, T), sampled on
+        n_steps steps."""
+        return ControlSignal.from_terms(zip(-self.frequencies, c),
+                                        self.horizon, n_steps)
 
 
 @functools.lru_cache(maxsize=16)
@@ -181,25 +194,6 @@ def solve(problem: MomentProblem, condition_cap: float = 1e12,
     return MomentSolution(
         problem=MomentProblem(problem.horizon, tuple(inverse.frequencies),
                               tuple(y)),
-        control=ControlSignal.from_terms(zip(-inverse.frequencies, c),
-                                         problem.horizon, n_steps),
+        control=inverse.control(c, n_steps),
         coefficients=c, residuals=inverse.gram @ c - y, inverse=inverse)
 
-
-def bessel_diagnostic(frequencies, T: float) -> float:
-    """The least constant C(T) with ||moments(u)||_2 <= C ||u||_{L^2(0,T)}
-    for every real u: the Bessel (upper frame) constant of the family.
-
-    For real u, m(-w) = conj m(w), so ||moments(u)||^2 is half the sum of
-    |m|^2 over the family {+-w_k} (zero included), whose Gram operator is
-    real; C is sqrt(lambda_max / 2) of the complex Gram matrix of {+-w_k}.
-    """
-    freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    if not freqs.size or not np.all(np.isfinite(freqs)):
-        raise DomainError("empty or non-finite frequency family")
-    if not 0.0 < T < np.inf:
-        raise DomainError("horizon must be positive and finite")
-    if np.any(np.diff(np.sort(freqs)) <= 0):
-        raise DegeneracyError("frequency gaps must be positive")
-    G = _gram(np.concatenate((freqs, -freqs)), T)
-    return float(np.sqrt(np.linalg.eigvalsh(G)[-1] / 2.0))

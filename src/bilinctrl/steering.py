@@ -4,10 +4,11 @@ Pipeline: project the error onto the tangent space of the unit sphere at the
 evolved eigenmode, invert the linearized endpoint map through the moment
 solver, and iterate the correction (a quasi-Newton loop with the
 linearization frozen at the eigensolution).  Frozen, the moment family is
-factored once per process and key: the first solve of a steer call takes
-the factorization from the cache of moments.solve, which computes it only
-if no earlier call did, and each later iteration costs two triangular
-solves; the coefficients add up in one exponential sum.
+factored once per process and key: the first correction of a steer call is
+a solve, which takes the factorization from the cache of moments.solve, and
+its control is the first control.  Each later correction adds its
+coefficients (two triangular solves) to the solve's, and the MomentInverse
+rebuilds the one exponential sum from them.
 The corrections target the K controlled modes (the window); the other N - K
 simulated modes (the tail) are reported beside them, not steered.
 """
@@ -73,8 +74,7 @@ def _moment_targets(model: SpectralModel, mu: PiecewisePotential, l: int,
 
 def linearized_control(target: StateVector, model: SpectralModel,
                        mu: PiecewisePotential, l: int, T: float, K: int,
-                       n_steps: int = DEFAULT_STEPS,
-                       condition_cap: float = 1e12) -> ControlSignal:
+                       n_steps: int = DEFAULT_STEPS) -> ControlSignal:
     """Control whose linearized endpoint (around the eigensolution at mode l)
     is the given tangent-space target, from the moment targets over the
     first K modes."""
@@ -82,8 +82,7 @@ def linearized_control(target: StateVector, model: SpectralModel,
     x = moment_targets(target)
     if np.all(np.abs(x) < 1e-15):
         return ControlSignal.zero(T, n_steps)
-    return solve(MomentProblem(T, freqs, tuple(x)),
-                 condition_cap=condition_cap, n_steps=n_steps).control
+    return solve(MomentProblem(T, freqs, tuple(x)), n_steps=n_steps).control
 
 
 @dataclass(frozen=True)
@@ -192,20 +191,14 @@ def steer(problem: SteeringProblem, K: int, N: int | None = None,
             break
         if inverse is None:
             # the first solve brings the frozen family's factorization for
-            # every later one
+            # every later correction, and its control is the first control
             solution = solve(MomentProblem(problem.T, freqs, tuple(x)),
                              n_steps=n_steps)
-            inverse, c = solution.inverse, solution.coefficients
-            # u = sum_j a_j e^{i f_j t} over the ascending f = -mu, with the
-            # zero frequency of the zero start always present
-            neg = 0.0 - inverse.frequencies  # -mu, its zero kept +0.0
-            f = np.sort(np.append(neg, np.zeros(int(0.0 not in neg))))
-            slots = np.searchsorted(f, neg)
-            amps = np.zeros(f.size, dtype=complex)
+            inverse, c, u = (solution.inverse, solution.coefficients,
+                             solution.control)
         else:
-            c = inverse.coefficients(x)
-        amps[slots] += c
-        u = ControlSignal.from_terms(zip(f, amps), problem.T, n_steps)
+            c = c + inverse.coefficients(x)
+            u = inverse.control(c, n_steps)
     return SteeringReport(control=u, residuals=history, converged=res <= tol,
                           final_error=res, norm=SobolevNorm.H1,
                           window_residuals=windows, tail_residuals=tails)

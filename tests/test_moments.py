@@ -11,8 +11,8 @@ from scipy.integrate import quad
 from scipy.interpolate import BarycentricInterpolator
 
 from bilinctrl.errors import DegeneracyError, DomainError, IllConditionedError
-from bilinctrl.moments import (MomentProblem, _factored, _reflect,
-                               bessel_diagnostic, moments, solve)
+from bilinctrl.moments import (MomentInverse, MomentProblem, _factored,
+                               _gram, _reflect, moments, solve)
 from bilinctrl.integrals import poly_exp_integral
 from bilinctrl.propagator import (ControlSignal, _lagrange_basis,
                                   _panel_operator, _panel_weights)
@@ -279,7 +279,6 @@ class TestSolve:
         assert np.max(np.abs(np.imag(np.atleast_1d(vals)))) < 1e-12
 
     def test_gram_matrix_is_positive_definite(self):
-        from bilinctrl.moments import _gram
         freqs = np.array([-3.0, -1.0, 0.0, 1.0, 3.0])
         G = _gram(freqs, 1.0)
         assert np.allclose(G, G.conj().T)
@@ -485,33 +484,32 @@ def _quad_l2_norm(u):
                         epsabs=0.0, epsrel=1e-13)[0])
 
 
+def _bessel_constant(freqs, T):
+    """[DERIVED] the least C with ||moments(u)||_2 <= C ||u||_{L^2(0,T)} for
+    real u: for real u, m(-w) = conj m(w), so ||moments(u)||^2 is half the
+    sum of |m|^2 over the multiset {+-w_k} (a zero counted twice), and C is
+    sqrt(lambda_max / 2) of its complex Gram matrix."""
+    freqs = np.asarray(freqs, dtype=float)
+    G = _gram(np.concatenate((freqs, -freqs)), T)
+    return float(np.sqrt(np.linalg.eigvalsh(G)[-1] / 2.0))
+
+
 class TestBesselDiagnostic:
     def test_single_frequency_bounded_by_sqrt_horizon(self):
         # one moment of a unit-L2 signal is at most sqrt(T) by Cauchy-Schwarz
         T = 2.0
-        level = bessel_diagnostic(np.array([3.0]), T)
+        level = _bessel_constant([3.0], T)
         assert level <= np.sqrt(T) + 1e-9
         assert level > 0.5 * np.sqrt(T)
 
     def test_near_degenerate_pair_inflates_the_level(self):
         T = 1.0
-        well_separated = bessel_diagnostic(np.array([2.0, 12.0]), T)
-        near_degenerate = bessel_diagnostic(np.array([2.0, 2.0 + 1e-3]), T)
+        well_separated = _bessel_constant([2.0, 12.0], T)
+        near_degenerate = _bessel_constant([2.0, 2.0 + 1e-3], T)
         assert near_degenerate > 1.3 * well_separated
         # a real test signal concentrates on the cosine/sine pair, so the
         # degenerate level approaches sqrt(T) rather than sqrt(2T)
         assert near_degenerate > 0.95 * np.sqrt(T)
-
-    @pytest.mark.parametrize("freqs, T, name", [
-        ((), 1.0, "empty"),
-        ((1.0, np.nan), 1.0, "non-finite"),
-        ((1.0, np.inf), 1.0, "non-finite"),
-        ((1.0, 2.0), -1.0, "horizon"),
-        ((1.0, 2.0), 0.0, "horizon"),
-    ])
-    def test_bad_family_or_horizon_rejected(self, freqs, T, name):
-        with pytest.raises(DomainError, match=name):
-            bessel_diagnostic(np.array(freqs), T)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), n_freqs=st.integers(1, 6),
@@ -521,7 +519,7 @@ class TestBesselDiagnostic:
                                                  n_terms, T, resonant):
         rng = np.random.default_rng(seed)
         freqs = np.cumsum(rng.uniform(0.05, 6.0, n_freqs))
-        level = bessel_diagnostic(freqs, T)
+        level = _bessel_constant(freqs, T)
         # resonant signals sit on the family's own frequencies, where the
         # ratio comes closest to the constant
         thetas = (rng.choice(freqs, n_terms) if resonant
@@ -532,10 +530,11 @@ class TestBesselDiagnostic:
         ratio = np.linalg.norm(moments(u, freqs)) / _quad_l2_norm(u)
         assert ratio <= level * (1.0 + 1e-9)
 
-    @pytest.mark.parametrize("freqs,T", [
-        ((3.0,), 2.0), ((0.0, 2.0, 12.0), 1.0), ((2.0, 2.0 + 1e-3), 1.0),
-        (tuple(transition_frequencies(SpectralModel.dirichlet(), 1, 4)),
-         0.3)])
+    ROWS = [((3.0,), 2.0), ((0.0, 2.0, 12.0), 1.0), ((2.0, 2.0 + 1e-3), 1.0),
+            (tuple(transition_frequencies(SpectralModel.dirichlet(), 1, 4)),
+             0.3)]
+
+    @pytest.mark.parametrize("freqs,T", ROWS)
     def test_top_eigenvector_signal_reaches_the_constant(self, freqs, T):
         # [DERIVED] the real Gram matrix of {cos w_k s, sin w_k s} from
         # scipy quadrature; the signal of its top eigenvector attains
@@ -552,4 +551,13 @@ class TestBesselDiagnostic:
         # the ratio is stationary at the eigenvector, so quadrature error
         # in G enters squared
         ratio = np.linalg.norm(moments(u, freqs)) / _quad_l2_norm(u)
-        assert ratio == pytest.approx(bessel_diagnostic(freqs, T), rel=1e-9)
+        assert ratio == pytest.approx(_bessel_constant(freqs, T), rel=1e-9)
+
+    @pytest.mark.parametrize("freqs,T", [
+        (freqs, T) for freqs, T in ROWS if 0.0 not in freqs])
+    def test_moment_inverse_lambda_max_is_twice_its_square(self, freqs, T):
+        # without zero the reflected family {+-w_k} is the multiset of the
+        # constant, so MomentInverse's lambda_max is 2 C^2
+        level = _bessel_constant(freqs, T)
+        assert MomentInverse(T, freqs).lambda_max == pytest.approx(
+            2.0 * level**2, rel=1e-12)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilinctrl import steering
 from bilinctrl.errors import (ControllabilityDefectError, DegeneracyError,
                               DomainError, NonConvergenceError, NumericError)
 from bilinctrl.moments import MomentProblem, _factored, solve
@@ -220,6 +221,46 @@ class TestSteer:
         again = steer(problem, K=N)
         assert again.residuals == report.residuals
         assert calls == {"eigvalsh": 1, "cholesky": 1}
+
+    def test_first_correction_keeps_the_control_of_its_solve(
+            self, monkeypatch):
+        # the first correction's control is the one its solve sampled, not
+        # a second grid of the same terms
+        solutions = []
+
+        def recorded(*args, **kwargs):
+            solutions.append(solve(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(steering, "solve", recorded)
+        T = 0.4
+        psi1 = perturbed_target(DIRICHLET, 20, 1, T, delta=1e-2, seed=0)
+        problem = SteeringProblem(DIRICHLET, dirichlet_example(), 1, T,
+                                  basis_state(DIRICHLET, 20, 1), psi1,
+                                  max_iters=1)
+        report = steer(problem, K=20)
+        assert report.iterations == 1 and len(solutions) == 1
+        assert report.control is solutions[0].control
+
+    def test_one_sampled_control_per_correction(self, monkeypatch):
+        # the first correction's grid is sampled in its solve, each later
+        # one in MomentInverse.control, and none is thrown away
+        calls = []
+        from_terms = ControlSignal.from_terms
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return from_terms(*args, **kwargs)
+
+        monkeypatch.setattr(ControlSignal, "from_terms",
+                            staticmethod(counted))
+        T = 0.4
+        psi1 = perturbed_target(DIRICHLET, 20, 1, T, delta=1e-2, seed=0)
+        problem = SteeringProblem(DIRICHLET, dirichlet_example(), 1, T,
+                                  basis_state(DIRICHLET, 20, 1), psi1)
+        report = steer(problem, K=20)
+        assert report.converged and report.iterations >= 2
+        assert len(calls) == report.iterations
 
     def test_a_mismatch_outside_the_controlled_modes_stops_at_once(
             self, monkeypatch):
