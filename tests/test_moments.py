@@ -561,3 +561,20 @@ class TestBesselDiagnostic:
         level = _bessel_constant(freqs, T)
         assert MomentInverse(T, freqs).lambda_max == pytest.approx(
             2.0 * level**2, rel=1e-12)
+
+    STEER_FAMILY = transition_frequencies(SpectralModel.dirichlet(), 1, 4)
+
+    @pytest.mark.parametrize("freqs,T", [
+        ((0.0, 2.0, 12.0), 1.0), ((0.0, 3.0), 2.0),
+        (tuple(STEER_FAMILY[STEER_FAMILY >= 0.0]), 0.3)])
+    def test_moment_inverse_lambda_max_with_zero_is_below_twice_its_square(
+            self, freqs, T):
+        # with zero the multiset of the constant counts the constant signal
+        # twice, the reflected family once: the frame operators differ by
+        # the rank-one projection onto 1, of norm T, so by Weyl
+        # lambda_max <= 2 C^2 <= lambda_max + T, the first strictly since
+        # the top eigenvector is not orthogonal to 1
+        level = _bessel_constant(freqs, T)
+        lambda_max = MomentInverse(T, freqs).lambda_max
+        assert lambda_max < 2.0 * level**2
+        assert 2.0 * level**2 <= (lambda_max + T) * (1.0 + 1e-12)
